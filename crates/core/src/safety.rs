@@ -189,7 +189,7 @@ pub fn in_s_pl(config: &Configuration<PplState>, params: &Params) -> bool {
 }
 
 /// A convergence criterion wrapping [`in_s_pl`], for use with
-/// `population::Simulation::run_criterion`.
+/// `population::Simulation::run_until` (via `Criterion::is_satisfied`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SafeConfiguration {
     params: Params,

@@ -4,8 +4,8 @@
 //! the convergence time of a run is the number of steps until the first safe
 //! configuration.  Protocol crates provide structural checkers for their safe
 //! sets (e.g. `S_PL` for the paper's protocol); this module provides the
-//! plumbing — the [`Criterion`] trait, generic criteria and the
-//! [`ConvergenceReport`] returned by measurement runs.
+//! plumbing — the [`Criterion`] trait, the generic [`UniqueLeader`]
+//! criterion and the [`ConvergenceReport`] returned by measurement runs.
 
 use std::borrow::Cow;
 
@@ -45,50 +45,6 @@ impl<P: LeaderElection> Criterion<P> for UniqueLeader {
 
     fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool {
         protocol.has_unique_leader(states)
-    }
-}
-
-/// Criterion defined by an arbitrary predicate over the configuration.
-pub struct Predicate<P: Protocol, F> {
-    name: String,
-    predicate: F,
-    _marker: std::marker::PhantomData<fn(&P)>,
-}
-
-impl<P: Protocol, F> std::fmt::Debug for Predicate<P, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Predicate")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl<P, F> Predicate<P, F>
-where
-    P: Protocol,
-    F: Fn(&P, &[P::State]) -> bool + Send + Sync,
-{
-    /// Creates a named predicate criterion.
-    pub fn new(name: impl Into<String>, predicate: F) -> Self {
-        Predicate {
-            name: name.into(),
-            predicate,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<P, F> Criterion<P> for Predicate<P, F>
-where
-    P: Protocol,
-    F: Fn(&P, &[P::State]) -> bool + Send + Sync,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool {
-        (self.predicate)(protocol, states)
     }
 }
 
@@ -220,15 +176,6 @@ mod tests {
         assert!(c.is_satisfied(&Dummy, &[0, 1, 0]));
         assert!(!c.is_satisfied(&Dummy, &[1, 1, 0]));
         assert!(!c.is_satisfied(&Dummy, &[0, 0, 0]));
-    }
-
-    #[test]
-    fn predicate_criterion() {
-        let p = Predicate::<Dummy, _>::new("all-zero", |_p, s: &[u8]| s.iter().all(|&x| x == 0));
-        assert_eq!(p.name(), "all-zero");
-        assert!(p.is_satisfied(&Dummy, &[0, 0]));
-        assert!(!p.is_satisfied(&Dummy, &[0, 2]));
-        assert!(format!("{p:?}").contains("all-zero"));
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! of each interaction, before and after the transition — everything an
 //! incremental statistic needs, at constant cost per step.
 //!
-//! Observers are passed explicitly into the observed run methods
-//! ([`crate::simulation::Simulation::step_observed`],
-//! [`crate::simulation::Simulation::run_steps_observed`]), so the unobserved
-//! hot loop pays nothing: [`NoObserver`]'s empty hooks inline away.
+//! Observers are passed explicitly into the burst primitive
+//! ([`crate::simulation::Simulation::run_burst`]) and
+//! [`crate::simulation::Simulation::apply_observed`], so the unobserved hot
+//! loop pays nothing: [`NoObserver`]'s empty hooks inline away.  Besides the
+//! two interaction hooks, [`StepObserver::after_step`] sees the whole
+//! configuration once each step completes and may end the burst there —
+//! the seam configuration-recurrence detection ([`crate::recurrence`]) and
+//! the Byzantine adversary of the scenario layer ride on.
 //!
 //! [`LeaderCounter`] is the workhorse observer: it maintains the number of
 //! agents outputting `L` as a running counter updated from the two touched
@@ -24,6 +28,7 @@
 //! environment hook, so the callers above fall back to full recounts for
 //! them (see [`crate::simulation::Simulation::environment_active`]).
 
+use crate::config::Configuration;
 use crate::protocol::{LeaderElection, Protocol};
 use crate::schedule::Interaction;
 
@@ -50,6 +55,22 @@ pub trait StepObserver<P: Protocol> {
         initiator: &P::State,
         responder: &P::State,
     );
+
+    /// Called once each step of a burst
+    /// ([`crate::simulation::Simulation::run_burst`]) has completed, with
+    /// the configuration it reached, the simulation's step count and the
+    /// chooser's deterministic phase (evaluated on demand).  The observer
+    /// may rewrite states here; returning `true` ends the burst after this
+    /// step.  The default does nothing and compiles away.
+    #[inline(always)]
+    fn after_step(
+        &mut self,
+        _config: &mut Configuration<P::State>,
+        _steps: u64,
+        _phase: &dyn Fn() -> Option<u64>,
+    ) -> bool {
+        false
+    }
 }
 
 /// The trivial observer: both hooks are empty and compile away, so
@@ -111,10 +132,10 @@ impl LeaderCounter {
 }
 
 /// An observer adapter that additionally records **which** interaction the
-/// last observed step executed, forwarding both hooks to the inner observer.
+/// last observed step executed, forwarding every hook to the inner observer.
 ///
 /// Single-step entry points return the interaction, but the burst APIs
-/// ([`crate::simulation::Simulation::run_steps_observed`]) discard it;
+/// ([`crate::simulation::Simulation::run_burst`]) discard it;
 /// wrapping the burst's real observer in `Recorded` recovers the last
 /// scheduled pair — e.g. to know which agents an adversary should rewrite at
 /// a segment boundary — without switching the burst to per-step dispatch.
@@ -170,6 +191,16 @@ impl<P: Protocol, O: StepObserver<P>> StepObserver<P> for Recorded<O> {
         self.last = Some(interaction);
         self.inner
             .post_interaction(protocol, interaction, initiator, responder);
+    }
+
+    #[inline]
+    fn after_step(
+        &mut self,
+        config: &mut Configuration<P::State>,
+        steps: u64,
+        phase: &dyn Fn() -> Option<u64>,
+    ) -> bool {
+        self.inner.after_step(config, steps, phase)
     }
 }
 

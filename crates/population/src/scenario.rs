@@ -90,7 +90,7 @@ use crate::protocol::{LeaderElection, Protocol};
 use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
 use crate::schedule::Interaction;
 use crate::scheduler::{RandomScheduler, Scheduler};
-use crate::simulation::Simulation;
+use crate::simulation::{Chooser, Simulation};
 use crate::sweep::{SweepGrid, SweepPoint};
 
 // ---------------------------------------------------------------------------
@@ -1338,79 +1338,91 @@ impl Scenario {
     ///
     /// See [`Scenario::try_run`].
     pub fn try_run_full(&self, point: &SweepPoint) -> Result<ScenarioRun> {
+        let mut run = self.start(point)?;
+        let report = self.converge(&mut run, &mut NoObserver, point)?;
+        telemetry_run_end(report.steps_executed, report.converged());
+        Ok(ScenarioRun {
+            report,
+            sim: run.sim,
+        })
+    }
+
+    /// The one setup behind every run entry point: prepares the point, builds
+    /// the graph, the simulation, the fault and churn schedules and the
+    /// chooser, and opens the run's telemetry scope (emitting `run_start`).
+    fn start(&self, point: &SweepPoint) -> Result<Run> {
         let prepared = self.prepared_run(point)?;
         let graph = self.graph.build(point.n)?;
         let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
-        telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let check_interval = (self.check_interval)(point).max(1);
-        let max_steps = (self.max_steps)(point);
+        let scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
+        if ssle_telemetry::enabled() {
+            ssle_telemetry::metrics::well_known::RUNS.incr();
+            // `scenario`, `n` and `seed` come from the scope just opened.
+            ssle_telemetry::emit(ssle_telemetry::Event::new("run_start"));
+        }
+        let sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
         let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
         let churn_plan = self.churn_plan_checked(point, &plan)?;
-
-        let mut stop = prepared.stop;
-        let mut report = match &self.scheduler {
-            // The default fast path: identical to the pre-scheduler code,
-            // no per-step indirection (pinned by `scenario_equivalence`).
-            SchedulerFamily::Random => {
-                if plan.is_empty() && churn_plan.is_empty() {
-                    sim.run_until(|_p, c| stop(c.states()), check_interval, max_steps)
-                } else {
-                    let mut faults = FaultSchedule::new(
-                        plan,
-                        prepared.corrupt,
-                        prepared.targets,
-                        prepared.byzantine,
-                        prepared.triggers,
-                        (self.fault_seed)(point),
-                    )?;
-                    let mut churn = ChurnSchedule::new(
-                        churn_plan,
-                        self.graph.clone(),
-                        prepared.churn_corrupt,
-                        (self.fault_seed)(point),
-                    )?;
-                    run_with_faults(
-                        &mut sim,
-                        &mut stop,
-                        check_interval,
-                        max_steps,
-                        &mut faults,
-                        &mut churn,
-                    )?
-                }
-            }
-            SchedulerFamily::Custom { build, .. } => {
-                let mut scheduler = build(point, sim.graph());
-                let mut faults = FaultSchedule::new(
-                    plan,
-                    prepared.corrupt,
-                    prepared.targets,
-                    prepared.byzantine,
-                    prepared.triggers,
-                    (self.fault_seed)(point),
-                )?;
-                let mut churn = ChurnSchedule::new(
-                    churn_plan,
-                    self.graph.clone(),
-                    prepared.churn_corrupt,
-                    (self.fault_seed)(point),
-                )?;
-                run_scheduled(
-                    &mut sim,
-                    &mut *scheduler,
-                    &mut stop,
-                    check_interval,
-                    max_steps,
-                    &mut faults,
-                    &mut churn,
-                )?
-            }
+        let fault_seed = (self.fault_seed)(point);
+        let faults = FaultSchedule::new(
+            plan,
+            prepared.corrupt,
+            prepared.targets,
+            prepared.byzantine,
+            prepared.triggers,
+            fault_seed,
+        )?;
+        let churn = ChurnSchedule::new(
+            churn_plan,
+            self.graph.clone(),
+            prepared.churn_corrupt,
+            fault_seed,
+        )?;
+        let scheduler = match &self.scheduler {
+            SchedulerFamily::Random => None,
+            SchedulerFamily::Custom { build, .. } => Some(build(point, sim.graph())),
         };
-        report.criterion = std::borrow::Cow::Owned(self.stop_name.clone());
-        telemetry_run_end(report.steps_executed, report.converged_at.is_some());
-        Ok(ScenarioRun { report, sim })
+        Ok(Run {
+            sim,
+            scheduler,
+            faults,
+            churn,
+            stop: prepared.stop,
+            _scope: scope,
+        })
+    }
+
+    /// Drives a convergence run: one stop check before the first step (after
+    /// step-0 events), one every `check_interval` steps and one at the
+    /// budget, ending at the first that holds — the check semantics of
+    /// [`Simulation::run_until`].  Emits the `converged` telemetry event;
+    /// the caller emits `run_end`.
+    fn converge<H: Hook>(
+        &self,
+        run: &mut Run,
+        hook: &mut H,
+        point: &SweepPoint,
+    ) -> Result<ConvergenceReport> {
+        let check_interval = (self.check_interval)(point).max(1);
+        let max_steps = (self.max_steps)(point);
+        let mut converged = false;
+        let steps_executed = run.drive(hook, max_steps, check_interval, |run, _, _| {
+            converged = (run.stop)(run.sim.config().states());
+            converged
+        })?;
+        let converged_at = converged.then(|| run.sim.steps());
+        if let Some(step) = converged_at {
+            if ssle_telemetry::enabled() {
+                ssle_telemetry::emit(ssle_telemetry::Event::new("converged").count("step", step));
+            }
+        }
+        Ok(ConvergenceReport {
+            converged_at,
+            steps_executed,
+            max_steps,
+            check_interval,
+            criterion: std::borrow::Cow::Owned(self.stop_name.clone()),
+        })
     }
 
     /// Runs every point of the grid in parallel and returns per-point
@@ -1454,13 +1466,14 @@ impl Scenario {
     /// fires at its scheduled steps exactly as it does under
     /// [`Scenario::run`] — trigger predicates are evaluated at this method's
     /// burst boundaries (sample boundaries and after step events), which may
-    /// differ from the run loop's stop-check boundaries — and the scenario's
-    /// scheduler family drives the steps exactly as it does there too.
+    /// differ from a convergence run's stop-check boundaries — and the
+    /// scenario's scheduler family drives the steps exactly as it does there
+    /// too.
     ///
     /// For pure protocols the leader count is maintained incrementally by a
     /// [`LeaderCounter`] observer (O(1) amortized per step, re-seeded only
-    /// when a fault rewrites states out-of-band); oracle protocols recount
-    /// at each sample boundary.
+    /// after states change out-of-band: faults, triggers, churn, Byzantine
+    /// segments); oracle protocols recount at each sample boundary.
     ///
     /// # Panics
     ///
@@ -1489,93 +1502,33 @@ impl Scenario {
         total_steps: u64,
         sample_every: u64,
     ) -> Result<Vec<(u64, usize)>> {
-        let prepared = self.prepared_run(point)?;
-        let graph = self.graph.build(point.n)?;
-        let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
-        telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let mut scheduler = match &self.scheduler {
-            SchedulerFamily::Random => None,
-            SchedulerFamily::Custom { build, .. } => Some(build(point, sim.graph())),
-        };
-        let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
-        let churn_plan = self.churn_plan_checked(point, &plan)?;
-        let mut faults = FaultSchedule::new(
-            plan,
-            prepared.corrupt,
-            prepared.targets,
-            prepared.byzantine,
-            prepared.triggers,
-            (self.fault_seed)(point),
-        )?;
-        let mut churn = ChurnSchedule::new(
-            churn_plan,
-            self.graph.clone(),
-            prepared.churn_corrupt,
-            (self.fault_seed)(point),
-        )?;
+        let mut run = self.start(point)?;
         let sample_every = sample_every.max(1);
-        let incremental = !sim.environment_active();
-        churn.fire_due(0, &mut sim)?;
-        faults.fire_due(0, &mut sim);
-        faults.fire_triggered(&mut sim);
-        let mut counter = LeaderCounter::new(sim.protocol(), sim.config().states());
-        let mut out = vec![(0u64, counter.count())];
-        let mut done = 0u64;
-        while done < total_steps {
-            // The next sample boundary, split early if a fault or churn
-            // event is due first or a Byzantine window opens or closes
-            // mid-burst.
-            let boundary = ((done / sample_every + 1) * sample_every).min(total_steps);
-            let target = churn.clip(done, faults.clip(done, boundary));
-            let in_window = faults.byzantine_active(done);
-            // Byzantine rewrites mutate states *after* the observer hooks
-            // ran, which would silently desynchronize an incremental
-            // counter mid-segment; window segments therefore run
-            // unobserved and the counter is resynced at the boundary
-            // (the only place it is read).
-            match scheduler.as_deref_mut() {
-                None if in_window => {
-                    for _ in done..target {
-                        faults.byzantine_step(&mut sim, None, &mut NoObserver)?;
-                    }
-                }
-                // The random fast path: burst without per-step indirection.
-                None if incremental => sim.run_steps_observed(target - done, &mut counter),
-                None => sim.run_steps(target - done),
-                Some(sched) => {
-                    for _ in done..target {
-                        if in_window {
-                            faults.byzantine_step(&mut sim, Some(&mut *sched), &mut NoObserver)?;
-                        } else if incremental {
-                            sim.step_chosen_by_observed(&mut counter, |g, c, rng| {
-                                sched.schedule(g, c.states(), rng)
-                            })?;
-                        } else {
-                            sim.step_chosen_by(|g, c, rng| sched.schedule(g, c.states(), rng))?;
-                        }
-                    }
-                }
-            }
-            done = target;
-            let churned = churn.fire_due(done, &mut sim)?;
-            let fired = faults.fire_due(done, &mut sim);
-            let fired = faults.fire_triggered(&mut sim) || fired;
-            if (fired || churned || in_window) && incremental {
-                counter.resync(sim.protocol(), sim.config().states());
-            }
-            if done.is_multiple_of(sample_every) || done == total_steps {
-                let leaders = if incremental {
-                    counter.count()
-                } else {
-                    sim.count_leaders()
-                };
-                out.push((done, leaders));
-            }
+        let mut out = Vec::new();
+        if run.sim.environment_active() {
+            run.drive(
+                &mut NoObserver,
+                total_steps,
+                sample_every,
+                |run, _, done| {
+                    out.push((done, run.sim.count_leaders()));
+                    false
+                },
+            )?;
+        } else {
+            let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
+            run.drive(
+                &mut counter,
+                total_steps,
+                sample_every,
+                |_, counter, done| {
+                    out.push((done, counter.count()));
+                    false
+                },
+            )?;
         }
         // A trajectory run has no stop predicate, so it never "converges".
-        telemetry_run_end(done, false);
+        telemetry_run_end(total_steps, false);
         Ok(out)
     }
 
@@ -1668,163 +1621,43 @@ impl Scenario {
     ///
     /// See [`Scenario::try_run`].
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
-        let prepared = self.prepared_run(point)?;
-        let graph = self.graph.build(point.n)?;
-        let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
-        telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let check_interval = (self.check_interval)(point).max(1);
-        let max_steps = (self.max_steps)(point);
-        let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
-        let churn_plan = self.churn_plan_checked(point, &plan)?;
-        let mut faults = FaultSchedule::new(
-            plan,
-            prepared.corrupt,
-            prepared.targets,
-            prepared.byzantine,
-            prepared.triggers,
-            (self.fault_seed)(point),
-        )?;
-        let mut churn = ChurnSchedule::new(
-            churn_plan,
-            self.graph.clone(),
-            prepared.churn_corrupt,
-            (self.fault_seed)(point),
-        )?;
-        let mut scheduler: Box<dyn DynScheduler> = match &self.scheduler {
-            // The boxed random scheduler consumes the RNG exactly like the
-            // inlined fast path (pinned by
-            // `explicit_random_scheduler_is_bit_identical_to_the_fast_path`),
-            // so detection does not perturb the run it observes.
-            SchedulerFamily::Random => Box::new(RandomScheduler::new()),
-            SchedulerFamily::Custom { build, .. } => build(point, sim.graph()),
-        };
-        let mut stop = prepared.stop;
+        let mut run = self.start(point)?;
         // Detection needs two preconditions.  The environment hook rewrites
         // states out-of-band inside each step, so the incremental digest is
         // only sound for pure protocols.  And a memoryless scheduler
-        // (phase `None`) revisits configurations by chance constantly —
-        // every interaction that happens not to change any state is a
-        // period-1 "recurrence" — so detection is only meaningful for
-        // schedulers with a deterministic phase.
-        let detecting = !sim.environment_active() && scheduler.phase().is_some();
-        let stop_name = &self.stop_name;
-        let make_report = |converged_at: Option<u64>, steps_executed: u64| ConvergenceReport {
-            converged_at,
-            steps_executed,
-            max_steps,
-            check_interval,
-            criterion: std::borrow::Cow::Owned(stop_name.clone()),
+        // (phase `None`, the uniform sampler included) revisits
+        // configurations by chance constantly — every interaction that
+        // happens not to change any state is a period-1 "recurrence" — so
+        // detection is only meaningful for schedulers with a deterministic
+        // phase.
+        let detecting = !run.sim.environment_active()
+            && run
+                .scheduler
+                .as_deref()
+                .is_some_and(|s| DynScheduler::phase(s).is_some());
+        let (report, recurrence) = if detecting {
+            let mut hook = Detection::new(&run);
+            let report = self.converge(&mut run, &mut hook, point)?;
+            (report, hook.found)
+        } else {
+            (self.converge(&mut run, &mut NoObserver, point)?, None)
         };
-
-        churn.fire_due(0, &mut sim)?;
-        faults.fire_due(0, &mut sim);
-        faults.fire_triggered(&mut sim);
-        let mut digest = ConfigDigest::new(sim.config().states());
-        let mut detector = RecurrenceDetector::new();
-        if stop(sim.config().states()) {
-            let faults_pending = faults.pending() || churn.pending();
-            telemetry_run_end(0, true);
-            return Ok(DetectedRun {
-                report: make_report(Some(sim.steps()), 0),
-                recurrence: None,
-                faults_pending,
-                sim,
-            });
-        }
-        let mut executed = 0u64;
-        let mut recurrence = None;
-        'run: while executed < max_steps {
-            let next_check = ((executed / check_interval) + 1) * check_interval;
-            let target = churn.clip(executed, faults.clip(executed, next_check.min(max_steps)));
-            // A recurrence confirmed while fault events are still pending
-            // proves nothing — a future fault would perturb the cycle — so
-            // the detector stays disarmed until the schedule is exhausted
-            // and only the fault-free suffix is ever searched.  Pending
-            // status covers unfired triggered events and an unelapsed
-            // Byzantine window too (both could still perturb a cycle), and
-            // is segment-constant: `clip` ends every segment at the next
-            // fault step or window edge, and events fire only between
-            // segments.
-            let armed = detecting && !faults.pending() && !churn.pending();
-            let in_window = faults.byzantine_active(executed);
-            for _ in executed..target {
-                if in_window {
-                    // The digest goes stale across adversarial rewrites, but
-                    // the window keeps the detector disarmed; the digest is
-                    // resynced when the window elapses (`fire_due` reports
-                    // the edge as a fired event).
-                    if detecting {
-                        faults.byzantine_step(&mut sim, Some(&mut *scheduler), &mut digest)?;
-                    } else {
-                        faults.byzantine_step(&mut sim, Some(&mut *scheduler), &mut NoObserver)?;
-                    }
-                } else if detecting {
-                    sim.step_chosen_by_observed(&mut digest, |g, c, rng| {
-                        scheduler.schedule(g, c.states(), rng)
-                    })?;
-                    if armed {
-                        if let Some(candidate) = detector.observe(
-                            digest.value(),
-                            scheduler.phase(),
-                            sim.steps(),
-                            sim.config(),
-                        ) {
-                            if stop(sim.config().states()) {
-                                // The recurrent configuration satisfies the
-                                // stop predicate: the run converged between
-                                // two check boundaries (a stable fixed point
-                                // "recurs" trivially).  Let the boundary
-                                // check report it exactly like the plain run
-                                // would.
-                                detector.reset();
-                            } else {
-                                if ssle_telemetry::enabled() {
-                                    ssle_telemetry::metrics::well_known::RECURRENCES.incr();
-                                    ssle_telemetry::emit(
-                                        ssle_telemetry::Event::new("recurrence_candidate")
-                                            .count("step", candidate.entry_step)
-                                            .count("period", candidate.period),
-                                    );
-                                }
-                                recurrence = Some(candidate);
-                                executed = sim.steps();
-                                break 'run;
-                            }
-                        }
-                    }
-                } else {
-                    sim.step_chosen_by(|g, c, rng| scheduler.schedule(g, c.states(), rng))?;
-                }
-            }
-            executed = target;
-            let churned = churn.fire_due(executed, &mut sim)?;
-            let fired = faults.fire_due(executed, &mut sim);
-            let fired = faults.fire_triggered(&mut sim) || fired;
-            if (fired || churned) && detecting {
-                digest.resync(sim.config().states());
-                detector.reset();
-            }
-            let at_boundary = executed == next_check || executed == max_steps;
-            if at_boundary && stop(sim.config().states()) {
-                let faults_pending = faults.pending() || churn.pending();
-                telemetry_run_end(executed, true);
-                return Ok(DetectedRun {
-                    report: make_report(Some(sim.steps()), executed),
-                    recurrence: None,
-                    faults_pending,
-                    sim,
-                });
+        if let Some(candidate) = &recurrence {
+            if ssle_telemetry::enabled() {
+                ssle_telemetry::metrics::well_known::RECURRENCES.incr();
+                ssle_telemetry::emit(
+                    ssle_telemetry::Event::new("recurrence_candidate")
+                        .count("step", candidate.entry_step)
+                        .count("period", candidate.period),
+                );
             }
         }
-        let faults_pending = faults.pending() || churn.pending();
-        telemetry_run_end(executed, false);
+        telemetry_run_end(report.steps_executed, report.converged());
         Ok(DetectedRun {
-            report: make_report(None, executed),
+            report,
             recurrence,
-            faults_pending,
-            sim,
+            faults_pending: !run.settled(),
+            sim: run.sim,
         })
     }
 }
@@ -1856,9 +1689,9 @@ const BYZANTINE_SEED_SALT: u64 = 0x42595A41_4E54494E; // "BYZANTIN"
 
 /// The pending half of a fault plan during a run: which step events are
 /// still due, which triggered events have not fired, the active Byzantine
-/// window, and the corruption machinery that fires them.  All erased run
-/// loops (convergence, trajectory, detection) share this, so faults fire at
-/// identical steps in all of them.
+/// window, and the corruption machinery that fires them.  Every entry point
+/// (convergence, trajectory, detection) drives its run through the one step
+/// driver ([`Run::drive`]), so faults fire at identical steps in all of them.
 struct FaultSchedule {
     events: Vec<FaultEvent>,
     /// Unfired trigger-coupled events, each carrying its trigger name (for
@@ -2092,48 +1925,40 @@ impl FaultSchedule {
         fired
     }
 
-    /// Advances one step inside an active Byzantine window: the interaction
-    /// executes normally through the observer seam, then each interacting
-    /// agent in the window's set has its post-interaction state rewritten by
-    /// the adversary (from the dedicated Byzantine RNG stream).  Returns
-    /// `true` if a rewrite happened, so incremental observers can re-seed at
-    /// the segment boundary.
-    fn byzantine_step<O: StepObserver<DynProtocol>>(
-        &mut self,
-        sim: &mut Simulation<DynProtocol, AnyGraph>,
-        scheduler: Option<&mut dyn DynScheduler>,
-        observer: &mut O,
-    ) -> Result<bool> {
+    /// Emits the `byzantine_open` telemetry event the first time a segment
+    /// inside the window starts (at simulation step `step`).
+    fn open_window(&mut self, step: u64) {
         if !self.byz_open_emitted {
             self.byz_open_emitted = true;
             if ssle_telemetry::enabled() {
                 ssle_telemetry::metrics::well_known::BYZANTINE_WINDOWS.incr();
                 ssle_telemetry::emit(
-                    ssle_telemetry::Event::new("byzantine_open").count("step", sim.steps()),
+                    ssle_telemetry::Event::new("byzantine_open").count("step", step),
                 );
             }
         }
-        let interaction = match scheduler {
-            None => sim.step_observed(observer),
-            Some(sched) => sim.step_chosen_by_observed(observer, |g, c, rng| {
-                sched.schedule(g, c.states(), rng)
-            })?,
-        };
+    }
+
+    /// Rewrites each agent of `interaction` that belongs to the active
+    /// Byzantine window — initiator first — from the dedicated Byzantine RNG
+    /// stream.
+    fn rewrite_window_agents(
+        &mut self,
+        interaction: Interaction,
+        config: &mut Configuration<DynState>,
+    ) {
         let (Some(window), Some(rewrite)) = (&self.window, self.rewrite.as_mut()) else {
-            return Ok(false);
+            return;
         };
-        let mut rewrote = false;
         for agent in [
             interaction.initiator().index(),
             interaction.responder().index(),
         ] {
             if window.contains(agent) {
-                let state = rewrite(&mut self.byz_rng, agent, &sim.config()[agent]);
-                sim.config_mut()[agent] = state;
-                rewrote = true;
+                let state = rewrite(&mut self.byz_rng, agent, &config[agent]);
+                config[agent] = state;
             }
         }
-        Ok(rewrote)
     }
 }
 
@@ -2155,8 +1980,8 @@ fn churn_kind_label(kind: ChurnKind) -> &'static str {
 
 /// The pending half of a churn plan during a run: which topology events are
 /// still due and the machinery that fires them.  The churn sibling of
-/// [`FaultSchedule`]; all erased run loops share it, so topology changes
-/// apply at identical steps in all of them.  An empty schedule is inert: it
+/// [`FaultSchedule`], fired by the same step driver, so topology changes
+/// apply at identical steps in every entry point.  An empty schedule is inert: it
 /// clips nothing, fires nothing, and consumes no RNG.
 struct ChurnSchedule {
     events: Vec<ChurnEvent>,
@@ -2343,18 +2168,6 @@ impl ChurnSchedule {
     }
 }
 
-/// Emits the `run_start` telemetry event and bumps the run counter (a
-/// no-op when telemetry is disabled).  The event's required fields
-/// (`scenario`, `n`, `seed`) come from the caller's active
-/// [`ssle_telemetry::run_scope`], which stamps them onto every event of
-/// the run — adding them here again would duplicate the keys.
-fn telemetry_run_start() {
-    if ssle_telemetry::enabled() {
-        ssle_telemetry::metrics::well_known::RUNS.incr();
-        ssle_telemetry::emit(ssle_telemetry::Event::new("run_start"));
-    }
-}
-
 /// Emits the `run_end` telemetry event, counting converged runs (a no-op
 /// when telemetry is disabled).
 fn telemetry_run_end(steps: u64, converged: bool) {
@@ -2370,159 +2183,238 @@ fn telemetry_run_end(steps: u64, converged: bool) {
     }
 }
 
-/// The fault-injecting run loop: identical check semantics to
-/// [`Simulation::run_until`] (an initial check, then one check every
-/// `check_interval` steps and at the budget boundary), with fault and churn
-/// events fired at their exact steps.  Events scheduled at step 0 fire
-/// before the initial check.  The random fast path keeps its burst-advance
-/// (`run_steps`, no per-step indirection), preserving the bit-identical
-/// pinning in `scenario_equivalence`.
-fn run_with_faults(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-) -> Result<ConvergenceReport> {
-    run_checked_bursts(
-        sim,
-        stop,
-        check_interval,
-        max_steps,
-        faults,
-        churn,
-        |sim, k, byz| {
-            match byz {
-                None => sim.run_steps(k),
-                Some(faults) => {
-                    for _ in 0..k {
-                        faults.byzantine_step(sim, None, &mut NoObserver)?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )
+/// One scenario run in flight: the simulation and everything the step
+/// driver ([`Run::drive`]) advances it with.  Built by [`Scenario::start`].
+struct Run {
+    sim: Simulation<DynProtocol, AnyGraph>,
+    /// The chooser: `None` is the uniform sampler's burst path (no per-step
+    /// indirection, pinned bit-identical to [`Simulation::run_until`] by
+    /// `scenario_equivalence`); `Some` is a state-aware scheduler whose
+    /// choices are validated per step.
+    scheduler: Option<Box<dyn DynScheduler>>,
+    faults: FaultSchedule,
+    churn: ChurnSchedule,
+    stop: DynStop,
+    /// Stamps scenario, n and seed onto every telemetry event of the run.
+    _scope: ssle_telemetry::RunScope,
 }
 
-/// The custom-scheduler run loop: identical check and fault semantics to
-/// [`run_with_faults`], but every interaction is chosen by the
-/// [`DynScheduler`] instead of the inlined uniform sampler.  Scheduler
-/// errors — deterministic exhaustion, non-arc choices — abort the run and
-/// surface as typed errors.
-fn run_scheduled(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    scheduler: &mut dyn DynScheduler,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-) -> Result<ConvergenceReport> {
-    run_checked_bursts(
-        sim,
-        stop,
-        check_interval,
-        max_steps,
-        faults,
-        churn,
-        |sim, k, byz| {
-            match byz {
-                None => {
-                    for _ in 0..k {
-                        sim.step_chosen_by(|g, c, rng| scheduler.schedule(g, c.states(), rng))?;
+impl Run {
+    /// The step driver behind every scenario entry point: advances the run
+    /// in bursts until `budget` steps have run or `boundary` ends it.
+    ///
+    /// Every burst runs up to the *event horizon*: the next point of the
+    /// caller's boundary grid (a multiple of `every`, or the budget), the
+    /// next fault or churn event, or the next Byzantine window edge
+    /// ([`FaultSchedule::clip`], [`ChurnSchedule::clip`]) — whichever comes
+    /// first.  Before the first burst and after each one, due churn and fault
+    /// events fire and trigger predicates are evaluated; if any of them, or
+    /// the Byzantine segment just run, rewrote states out of band, `hook` is
+    /// resynced.  Then, at grid points and at the budget, `boundary` runs the
+    /// caller's action (a stop check, a leader sample) given the steps done;
+    /// returning `true` ends the run.
+    ///
+    /// A hook can also end the run after any step, a burst's last one
+    /// included ([`StepObserver::after_step`]), but only outside the stop
+    /// set: a halt at a configuration satisfying the stop predicate is
+    /// discarded (the hook is resynced) and the run goes on, so the next
+    /// boundary reports convergence exactly as an unhooked run would.
+    ///
+    /// Returns the number of steps executed.
+    fn drive<H: Hook>(
+        &mut self,
+        hook: &mut H,
+        budget: u64,
+        every: u64,
+        mut boundary: impl FnMut(&mut Self, &H, u64) -> bool,
+    ) -> Result<u64> {
+        let mut done = 0u64;
+        let mut byzantine = false;
+        loop {
+            let churned = self.churn.fire_due(done, &mut self.sim)?;
+            let fired = self.faults.fire_due(done, &mut self.sim);
+            let fired = self.faults.fire_triggered(&mut self.sim) || fired;
+            if churned || fired || byzantine {
+                hook.resync(&self.sim, self.settled());
+            }
+            let on_grid = done.is_multiple_of(every) || done == budget;
+            if (on_grid && boundary(self, hook, done)) || done == budget {
+                return Ok(done);
+            }
+            let grid = ((done / every + 1) * every).min(budget);
+            let horizon = self.churn.clip(done, self.faults.clip(done, grid));
+            byzantine = self.faults.byzantine_active(done);
+            while done < horizon {
+                let (steps, halted) = self.burst(hook, horizon - done, byzantine)?;
+                done += steps;
+                if halted {
+                    if !(self.stop)(self.sim.config().states()) {
+                        return Ok(done);
                     }
-                }
-                Some(faults) => {
-                    for _ in 0..k {
-                        faults.byzantine_step(sim, Some(&mut *scheduler), &mut NoObserver)?;
-                    }
+                    hook.resync(&self.sim, self.settled());
                 }
             }
-            ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(k);
-            Ok(())
-        },
-    )
-}
-
-/// The one checked-burst loop behind both erased run paths: an initial stop
-/// check after step-0 churn/fault events and trigger evaluation, then bursts
-/// clipped to the next check boundary, pending fault or churn event or
-/// Byzantine window edge, advanced by `advance(sim, k, byzantine)` (the uniform
-/// sampler's `run_steps` on the fast path, per-step scheduler dispatch on
-/// the custom path, per-step rewriting via [`FaultSchedule::byzantine_step`]
-/// whenever `byzantine` is `Some`), with fault events fired at their exact
-/// steps, trigger predicates evaluated at every burst boundary, and one stop
-/// check per boundary and at the budget.
-fn run_checked_bursts(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-    mut advance: impl FnMut(
-        &mut Simulation<DynProtocol, AnyGraph>,
-        u64,
-        Option<&mut FaultSchedule>,
-    ) -> Result<()>,
-) -> Result<ConvergenceReport> {
-    const PREDICATE: std::borrow::Cow<'static, str> = std::borrow::Cow::Borrowed("predicate");
-    let mut executed = 0u64;
-    churn.fire_due(0, sim)?;
-    faults.fire_due(0, sim);
-    faults.fire_triggered(sim);
-    if stop(sim.config().states()) {
-        if ssle_telemetry::enabled() {
-            ssle_telemetry::emit(
-                ssle_telemetry::Event::new("converged").count("step", sim.steps()),
-            );
         }
-        return Ok(ConvergenceReport {
-            converged_at: Some(sim.steps()),
-            steps_executed: 0,
-            max_steps,
-            check_interval,
-            criterion: PREDICATE,
-        });
     }
-    while executed < max_steps {
-        let next_check = ((executed / check_interval) + 1) * check_interval;
-        let target = churn.clip(executed, faults.clip(executed, next_check.min(max_steps)));
-        let byzantine = faults.byzantine_active(executed);
-        advance(
+
+    /// `true` once no fault or churn event can fire any more.
+    fn settled(&self) -> bool {
+        !self.faults.pending() && !self.churn.pending()
+    }
+
+    /// Runs one burst of up to `k` steps with the run's chooser, observed by
+    /// `hook` — or, inside a Byzantine window, by the adversary instead.
+    fn burst<H: Hook>(&mut self, hook: &mut H, k: u64, byzantine: bool) -> Result<(u64, bool)> {
+        let Run {
             sim,
-            target - executed,
-            if byzantine { Some(&mut *faults) } else { None },
-        )?;
-        executed = target;
-        churn.fire_due(executed, sim)?;
-        faults.fire_due(executed, sim);
-        faults.fire_triggered(sim);
-        let at_boundary = executed == next_check || executed == max_steps;
-        if at_boundary && stop(sim.config().states()) {
-            if ssle_telemetry::enabled() {
-                ssle_telemetry::emit(
-                    ssle_telemetry::Event::new("converged").count("step", sim.steps()),
-                );
-            }
-            return Ok(ConvergenceReport {
-                converged_at: Some(sim.steps()),
-                steps_executed: executed,
-                max_steps,
-                check_interval,
-                criterion: PREDICATE,
-            });
+            scheduler,
+            faults,
+            ..
+        } = self;
+        if !byzantine {
+            return burst_with(sim, scheduler, k, hook);
+        }
+        faults.open_window(sim.steps());
+        let mut adversary = Byzantine { faults, last: None };
+        burst_with(sim, scheduler, k, &mut adversary)
+    }
+}
+
+/// [`Simulation::run_burst`] with the run's chooser: the uniform sampler,
+/// or `scheduler` when there is one.
+fn burst_with<O: StepObserver<DynProtocol>>(
+    sim: &mut Simulation<DynProtocol, AnyGraph>,
+    scheduler: &mut Option<Box<dyn DynScheduler>>,
+    k: u64,
+    observer: &mut O,
+) -> Result<(u64, bool)> {
+    match scheduler {
+        None => sim.run_burst(k, &mut RandomScheduler, observer),
+        Some(scheduler) => sim.run_burst(k, &mut **scheduler, observer),
+    }
+}
+
+impl Chooser<AnyGraph, DynState> for dyn DynScheduler {
+    fn choose(
+        &mut self,
+        graph: &AnyGraph,
+        states: &[DynState],
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Interaction> {
+        self.schedule(graph, states, rng)
+    }
+
+    fn phase(&self) -> Option<u64> {
+        DynScheduler::phase(self)
+    }
+}
+
+/// The hook stack of a driven run: a step observer that the driver resyncs
+/// from the whole configuration after every out-of-band mutation — a fault
+/// or trigger firing, churn, the end of a Byzantine segment.  `settled` is
+/// `true` once no fault or churn event can fire any more.
+trait Hook: StepObserver<DynProtocol> {
+    fn resync(&mut self, sim: &Simulation<DynProtocol, AnyGraph>, settled: bool);
+}
+
+impl Hook for NoObserver {
+    fn resync(&mut self, _sim: &Simulation<DynProtocol, AnyGraph>, _settled: bool) {}
+}
+
+impl Hook for LeaderCounter {
+    fn resync(&mut self, sim: &Simulation<DynProtocol, AnyGraph>, _settled: bool) {
+        LeaderCounter::resync(self, sim.protocol(), sim.config().states());
+    }
+}
+
+/// The hook of detecting runs: an incremental [`ConfigDigest`] feeding a
+/// [`RecurrenceDetector`] after every step, halting the run at the first
+/// confirmed recurrence.
+struct Detection {
+    digest: ConfigDigest,
+    detector: RecurrenceDetector,
+    /// `true` once no fault or churn event is pending.  A recurrence
+    /// confirmed while one still could fire proves nothing — a future fault
+    /// would perturb the cycle — so the detector stays disarmed until then
+    /// and only the event-free suffix of the run is ever searched.
+    armed: bool,
+    /// The confirmed recurrence that halted the run.
+    found: Option<RecurrenceCandidate>,
+}
+
+impl Detection {
+    fn new(run: &Run) -> Self {
+        Detection {
+            digest: ConfigDigest::new(run.sim.config().states()),
+            detector: RecurrenceDetector::new(),
+            armed: run.settled(),
+            found: None,
         }
     }
-    Ok(ConvergenceReport {
-        converged_at: None,
-        steps_executed: executed,
-        max_steps,
-        check_interval,
-        criterion: PREDICATE,
-    })
+}
+
+impl StepObserver<DynProtocol> for Detection {
+    fn pre_interaction(&mut self, p: &DynProtocol, e: Interaction, a: &DynState, b: &DynState) {
+        self.digest.pre_interaction(p, e, a, b);
+    }
+
+    fn post_interaction(&mut self, p: &DynProtocol, e: Interaction, a: &DynState, b: &DynState) {
+        self.digest.post_interaction(p, e, a, b);
+    }
+
+    fn after_step(
+        &mut self,
+        config: &mut Configuration<DynState>,
+        steps: u64,
+        phase: &dyn Fn() -> Option<u64>,
+    ) -> bool {
+        if !self.armed {
+            return false;
+        }
+        self.found = self
+            .detector
+            .observe(self.digest.value(), phase(), steps, config);
+        self.found.is_some()
+    }
+}
+
+impl Hook for Detection {
+    fn resync(&mut self, sim: &Simulation<DynProtocol, AnyGraph>, settled: bool) {
+        self.digest.resync(sim.config().states());
+        self.detector.reset();
+        self.armed = settled;
+        self.found = None;
+    }
+}
+
+/// The observer of a Byzantine window segment: after every step the
+/// adversary rewrites each window agent the step touched
+/// ([`FaultSchedule::rewrite_window_agents`]).  The run's own hook does not
+/// observe the segment — the rewrites would desynchronize it mid-burst — and
+/// is resynced by the driver when the segment ends.
+struct Byzantine<'a> {
+    faults: &'a mut FaultSchedule,
+    last: Option<Interaction>,
+}
+
+impl StepObserver<DynProtocol> for Byzantine<'_> {
+    fn pre_interaction(&mut self, _: &DynProtocol, _: Interaction, _: &DynState, _: &DynState) {}
+
+    fn post_interaction(&mut self, _: &DynProtocol, e: Interaction, _: &DynState, _: &DynState) {
+        self.last = Some(e);
+    }
+
+    fn after_step(
+        &mut self,
+        config: &mut Configuration<DynState>,
+        _steps: u64,
+        _phase: &dyn Fn() -> Option<u64>,
+    ) -> bool {
+        if let Some(interaction) = self.last {
+            self.faults.rewrite_window_agents(interaction, config);
+        }
+        false
+    }
 }
 
 /// Typed, declarative builder for [`Scenario`]s.
@@ -3004,7 +2896,6 @@ where
 mod tests {
     use super::*;
     use crate::batch::BatchRunner;
-    use crate::convergence::Predicate;
 
     /// Classic pairwise leader elimination.
     #[derive(Clone, Debug)]
@@ -3103,13 +2994,8 @@ mod tests {
             Configuration::uniform(n, true),
             seed,
         );
-        let reference = typed.run_criterion(
-            &Predicate::<Fratricide, _>::new("unique-leader", |p: &Fratricide, s: &[bool]| {
-                p.has_unique_leader(s)
-            }),
-            7,
-            500_000,
-        );
+        let mut reference = typed.run_until(|p, c| p.has_unique_leader(c.states()), 7, 500_000);
+        reference.criterion = "unique-leader".into();
         // Erased scenario.
         let report = fratricide_scenario().run(&SweepPoint::new(n, seed));
         assert_eq!(report, reference);
@@ -3993,6 +3879,135 @@ mod tests {
         let random = fratricide_scenario();
         let detected = random.try_run_detecting(&point).unwrap();
         assert_eq!(detected.report, random.try_run(&point).unwrap());
+        assert!(detected.recurrence.is_none());
+
+        // The cross-path matrix: {random, cyclic} × {no plan, a step fault,
+        // a triggered fault, a Byzantine window, a churn plan}.  Detection
+        // must never change what a run does — same report, same final
+        // configuration — whatever out-of-band machinery is attached.
+        let ready = ScenarioBuilder::new("fratricide", |_pt: &SweepPoint| Fratricide)
+            .graph(GraphFamily::Complete)
+            .init(|_p, pt| Configuration::uniform(pt.n, true))
+            .stop_when("unique-leader", |p: &Fratricide, c| {
+                p.has_unique_leader(c.states())
+            })
+            .check_every(|_pt| 7)
+            .step_budget(|_pt| 500_000)
+            .corruption(|_p, rng, _i| rng.gen_bool(0.5))
+            .trigger("unique-leader-emerged", |p: &Fratricide, c| {
+                p.has_unique_leader(c.states())
+            })
+            .byzantine(|_p: &Fratricide, _rng, _agent, _state| true)
+            .build()
+            .unwrap();
+        let plans: [(&str, FaultPlan, ChurnPlan); 5] = [
+            ("no plan", FaultPlan::new(), ChurnPlan::new()),
+            (
+                "step fault",
+                FaultPlan::new().at(5, FaultKind::CorruptRandomAgents { count: 3 }),
+                ChurnPlan::new(),
+            ),
+            (
+                "triggered fault",
+                FaultPlan::new().when("unique-leader-emerged", FaultKind::CorruptAll),
+                ChurnPlan::new(),
+            ),
+            (
+                "byzantine window",
+                FaultPlan::new().with_byzantine(ByzantineWindow::new([0, 1], 2, 40)),
+                ChurnPlan::new(),
+            ),
+            (
+                "churn plan",
+                FaultPlan::new(),
+                ChurnPlan::new().at(3, ChurnKind::Rewire { count: 2 }),
+            ),
+        ];
+        for family in [SchedulerFamily::Random, cyclic_family()] {
+            for (label, faults, churn) in &plans {
+                let scenario = ready
+                    .clone()
+                    .with_scheduler(family.clone())
+                    .with_fault_plan(faults.clone())
+                    .with_churn_plan(churn.clone());
+                for seed in [3u64, 8] {
+                    let point = SweepPoint::new(8, seed);
+                    let case = format!("{} / {label} / seed {seed}", family.name());
+                    let plain = scenario.try_run_full(&point).unwrap();
+                    let detected = scenario.try_run_detecting(&point).unwrap();
+                    assert_eq!(detected.report, scenario.try_run(&point).unwrap(), "{case}");
+                    assert_eq!(detected.report, plain.report, "{case}");
+                    assert_eq!(
+                        detected.sim.config(),
+                        plain.sim.config(),
+                        "{case}: final configurations differ"
+                    );
+                    assert!(plain.report.converged(), "{case}");
+                    assert!(detected.recurrence.is_none(), "{case}");
+                }
+            }
+        }
+
+        // Recurrences confirmed exactly on a check boundary.  Fratricide's
+        // fixed points recur under the cyclic scheduler: the dead start
+        // never leaves the stop set's complement, the live start recurs
+        // only after electing.  Where the detector first confirms does not
+        // depend on the check grid, so it is found with one check at the
+        // budget and a stop predicate that never holds; the grid is then
+        // laid onto that very step.
+        let fixed_point = |init: bool, stoppable: bool, every: u64| {
+            ScenarioBuilder::new("fixed-point", |_pt: &SweepPoint| Fratricide)
+                .graph(GraphFamily::Complete)
+                .init(move |_p, pt| Configuration::uniform(pt.n, init))
+                .stop_when("unique-leader", move |p: &Fratricide, c| {
+                    stoppable && p.has_unique_leader(c.states())
+                })
+                .check_every(move |_pt| every)
+                .step_budget(|_pt| 1_000_000)
+                .scheduler(cyclic_family())
+                .build()
+                .unwrap()
+        };
+        let point = SweepPoint::new(4, 9);
+        for init in [false, true] {
+            let free = fixed_point(init, false, 1_000_000)
+                .try_run_detecting(&point)
+                .unwrap();
+            let first = free.recurrence.expect("a fixed point recurs");
+            let at = first.entry_step + first.period;
+            assert_eq!(free.report.steps_executed, at);
+            assert!(at < 1_000_000);
+            // Outside the stop set the halt wins over the boundary: the run
+            // ends on the same candidate as between checks.
+            let on_grid = fixed_point(init, !init, at)
+                .try_run_detecting(&point)
+                .unwrap();
+            let case = format!("init {init}: confirmation at check step {at}");
+            let candidate = on_grid.recurrence.expect(&case);
+            assert_eq!(on_grid.report.steps_executed, at, "{case}");
+            assert!(!on_grid.report.converged(), "{case}");
+            assert_eq!(
+                (candidate.entry_step, candidate.period, candidate.phase),
+                (first.entry_step, first.period, first.phase),
+                "{case}"
+            );
+            assert_eq!(candidate.config_digest, first.config_digest, "{case}");
+            assert_eq!(on_grid.sim.config(), free.sim.config(), "{case}");
+        }
+        // Inside the stop set the confirmation is discarded: the boundary
+        // reports convergence exactly like the plain run, with no candidate.
+        let live = fixed_point(true, false, 1_000_000)
+            .try_run_detecting(&point)
+            .unwrap()
+            .recurrence
+            .unwrap();
+        let at = live.entry_step + live.period;
+        let scenario = fixed_point(true, true, at);
+        let plain = scenario.try_run_full(&point).unwrap();
+        let detected = scenario.try_run_detecting(&point).unwrap();
+        assert_eq!(plain.report.converged_at, Some(at));
+        assert_eq!(detected.report, plain.report);
+        assert_eq!(detected.sim.config(), plain.sim.config());
         assert!(detected.recurrence.is_none());
     }
 

@@ -3,10 +3,13 @@
 //! [`Simulation`] owns a protocol, an interaction graph, the current
 //! configuration, a seeded RNG and run statistics, and advances the
 //! configuration one interaction at a time.  By default each step samples the
-//! uniformly random scheduler; deterministic interaction sequences can be
+//! uniformly random scheduler ([`Simulation::step`], [`Simulation::run_steps`],
+//! [`Simulation::run_until`]); deterministic interaction sequences can be
 //! applied directly with [`Simulation::apply_sequence`] (used by tests that
-//! replay the proof schedules) and arbitrary [`crate::scheduler::Scheduler`]s
-//! can drive the run via [`Simulation::step_with_scheduler`].
+//! replay the proof schedules).  [`Simulation::run_burst`] is the one general
+//! stepping primitive: a burst of steps picked by any [`Chooser`] — the
+//! uniform sampler or a state-aware scheduler — and watched by any
+//! [`StepObserver`].  The erased scenario layer drives every run through it.
 
 use std::borrow::Cow;
 
@@ -14,13 +17,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::Configuration;
-use crate::convergence::{ConvergenceReport, Criterion};
+use crate::convergence::ConvergenceReport;
 use crate::error::{PopulationError, Result};
 use crate::graph::InteractionGraph;
 use crate::observer::{LeaderCounter, NoObserver, StepObserver};
 use crate::protocol::{LeaderElection, Protocol};
 use crate::schedule::{Interaction, InteractionSeq};
-use crate::scheduler::Scheduler;
+use crate::scheduler::RandomScheduler;
 use crate::stats::RunStats;
 use crate::trace::{Event, Trace};
 
@@ -204,83 +207,9 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     ///
     /// Returns the interaction that occurred.
     pub fn step(&mut self) -> Interaction {
-        self.step_observed(&mut NoObserver)
-    }
-
-    /// Like [`Simulation::step`], invoking `observer` around the transition.
-    ///
-    /// The observer sees the two scheduled states immediately before and
-    /// after the transition function — enough for O(1) incremental
-    /// statistics ([`crate::observer::LeaderCounter`]).  The RNG stream,
-    /// transition and bookkeeping are exactly those of the unobserved step,
-    /// so observation never perturbs the execution.
-    pub fn step_observed<O: StepObserver<P>>(&mut self, observer: &mut O) -> Interaction {
         let interaction = self.graph.sample(&mut self.rng);
-        self.apply_observed(interaction, observer);
+        self.apply(interaction);
         interaction
-    }
-
-    /// Executes one step chosen by an explicit scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler errors (e.g. an exhausted deterministic schedule).
-    pub fn step_with_scheduler<S: Scheduler<G>>(
-        &mut self,
-        scheduler: &mut S,
-    ) -> Result<Interaction> {
-        self.step_chosen_by(|graph, _config, rng| scheduler.next_interaction(graph, rng))
-    }
-
-    /// Executes one step whose interaction is chosen by an arbitrary closure
-    /// over the graph, the **current configuration** and the simulation's
-    /// RNG.  This is the hook behind state-aware adversarial schedulers
-    /// ([`crate::scenario::DynScheduler`]): unlike
-    /// [`Simulation::step_with_scheduler`], the chooser can inspect agent
-    /// states to pick a convergence-hostile arc.
-    ///
-    /// The chosen pair is validated against the graph, so a buggy scheduler
-    /// cannot smuggle in a non-arc interaction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the chooser's error, or [`PopulationError::NotAnArc`] if
-    /// the chosen pair is not an arc of the graph.
-    pub fn step_chosen_by<F>(&mut self, choose: F) -> Result<Interaction>
-    where
-        F: FnOnce(&G, &Configuration<P::State>, &mut ChaCha8Rng) -> Result<Interaction>,
-    {
-        self.step_chosen_by_observed(&mut NoObserver, choose)
-    }
-
-    /// Like [`Simulation::step_chosen_by`], invoking `observer` around the
-    /// transition (same contract as [`Simulation::step_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the chooser's error, or [`PopulationError::NotAnArc`] if
-    /// the chosen pair is not an arc of the graph.
-    pub fn step_chosen_by_observed<O, F>(
-        &mut self,
-        observer: &mut O,
-        choose: F,
-    ) -> Result<Interaction>
-    where
-        O: StepObserver<P>,
-        F: FnOnce(&G, &Configuration<P::State>, &mut ChaCha8Rng) -> Result<Interaction>,
-    {
-        let interaction = choose(&self.graph, &self.config, &mut self.rng)?;
-        if !self.graph.is_arc(
-            interaction.initiator().index(),
-            interaction.responder().index(),
-        ) {
-            return Err(PopulationError::NotAnArc {
-                initiator: interaction.initiator().index(),
-                responder: interaction.responder().index(),
-            });
-        }
-        self.apply_observed(interaction, observer);
-        Ok(interaction)
     }
 
     /// Applies one specific interaction (the configuration transition
@@ -336,6 +265,10 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     }
 
     /// Runs exactly `k` steps under the uniformly random scheduler.
+    ///
+    /// The plain sample-and-apply loop: the same steps as
+    /// [`Simulation::run_burst`] with the uniform sampler and no observer,
+    /// without the chooser and observer plumbing.
     pub fn run_steps(&mut self, k: u64) {
         for _ in 0..k {
             self.step();
@@ -345,13 +278,67 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         ssle_telemetry::metrics::well_known::HOT_STEPS.add(k);
     }
 
-    /// Runs exactly `k` steps under the uniformly random scheduler with an
-    /// observer attached.
-    pub fn run_steps_observed<O: StepObserver<P>>(&mut self, k: u64, observer: &mut O) {
-        for _ in 0..k {
-            self.step_observed(observer);
+    /// Runs up to `k` steps: the one burst primitive every run loop is built
+    /// on.
+    ///
+    /// Each step's interaction is picked by `chooser` and applied with
+    /// `observer` around the transition ([`Simulation::apply_observed`]).
+    /// Choices of a chooser that does not sample arcs by construction
+    /// ([`Chooser::SAMPLES_ARCS`]) are validated against the graph, so a
+    /// buggy scheduler cannot smuggle in a non-arc interaction.  After each
+    /// step the observer's [`StepObserver::after_step`] runs; if it returns
+    /// `true` the burst ends there.  The executed steps are added once per
+    /// burst to the `hot_steps` telemetry counter for the uniform sampler
+    /// and to `scheduled_steps` for every other chooser.
+    ///
+    /// Returns the number of steps executed and whether the observer halted
+    /// the burst.  A halt on the burst's last step still reports `true`, so
+    /// callers never infer it from a short count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the chooser's error, or [`PopulationError::NotAnArc`] if a
+    /// chosen pair is not an arc of the graph.  The steps before the failing
+    /// one stay applied.
+    pub fn run_burst<C, O>(
+        &mut self,
+        k: u64,
+        chooser: &mut C,
+        observer: &mut O,
+    ) -> Result<(u64, bool)>
+    where
+        C: Chooser<G, P::State> + ?Sized,
+        O: StepObserver<P>,
+    {
+        let mut done = 0;
+        let mut halted = false;
+        while done < k {
+            let interaction = chooser.choose(&self.graph, self.config.states(), &mut self.rng)?;
+            let (i, j) = (
+                interaction.initiator().index(),
+                interaction.responder().index(),
+            );
+            if !C::SAMPLES_ARCS && !self.graph.is_arc(i, j) {
+                return Err(PopulationError::NotAnArc {
+                    initiator: i,
+                    responder: j,
+                });
+            }
+            self.apply_observed(interaction, observer);
+            done += 1;
+            if observer.after_step(&mut self.config, self.steps, &|| chooser.phase()) {
+                halted = true;
+                break;
+            }
         }
-        ssle_telemetry::metrics::well_known::HOT_STEPS.add(k);
+        // One counter update per burst, never per step: the hot loop pays
+        // exactly one relaxed load here when telemetry is disabled.
+        if C::SAMPLES_ARCS {
+            ssle_telemetry::metrics::well_known::HOT_STEPS.add(done);
+        } else {
+            ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(done);
+        }
+        Ok((done, halted))
     }
 
     /// Applies every interaction of `seq`, in order.
@@ -378,26 +365,17 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         F: FnMut(&P, &Configuration<P::State>) -> bool,
     {
         // The placeholder name is a borrowed `'static` so this function
-        // allocates nothing per invocation; named callers (`run_criterion`,
-        // the scenario layer) overwrite it once.
+        // allocates nothing per invocation; named callers overwrite it once.
         const PREDICATE: Cow<'static, str> = Cow::Borrowed("predicate");
         let check_interval = check_interval.max(1);
-        let start = self.steps;
-        if predicate(&self.protocol, &self.config) {
-            return ConvergenceReport {
-                converged_at: Some(self.steps),
-                steps_executed: 0,
-                max_steps,
-                check_interval,
-                criterion: PREDICATE,
-            };
-        }
         let mut executed = 0u64;
-        while executed < max_steps {
+        let mut converged = predicate(&self.protocol, &self.config);
+        while !converged && executed < max_steps {
             let burst = check_interval.min(max_steps - executed);
             self.run_steps(burst);
             executed += burst;
-            if predicate(&self.protocol, &self.config) {
+            converged = predicate(&self.protocol, &self.config);
+            if converged {
                 if self.trace.is_enabled() {
                     self.trace.record(Event::Converged {
                         step: self.steps,
@@ -409,47 +387,54 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
                         ssle_telemetry::Event::new("converged").count("step", self.steps),
                     );
                 }
-                return ConvergenceReport {
-                    converged_at: Some(self.steps),
-                    steps_executed: executed,
-                    max_steps,
-                    check_interval,
-                    criterion: PREDICATE,
-                };
             }
         }
         ConvergenceReport {
-            converged_at: None,
-            steps_executed: self.steps - start,
+            converged_at: converged.then_some(self.steps),
+            steps_executed: executed,
             max_steps,
             check_interval,
             criterion: PREDICATE,
         }
     }
 
-    /// Like [`Simulation::run_until`] but driven by a named [`Criterion`].
-    pub fn run_criterion<C>(
-        &mut self,
-        criterion: &C,
-        check_interval: u64,
-        max_steps: u64,
-    ) -> ConvergenceReport
-    where
-        C: Criterion<P>,
-    {
-        let name = criterion.name().to_string();
-        let mut report = self.run_until(
-            |p, c| criterion.is_satisfied(p, c.states()),
-            check_interval,
-            max_steps,
-        );
-        report.criterion = Cow::Owned(name);
-        report
-    }
-
     /// Consumes the simulation and returns the final configuration.
     pub fn into_config(self) -> Configuration<P::State> {
         self.config
+    }
+}
+
+/// What picks the interaction of each step of a [`Simulation::run_burst`]:
+/// the uniform sampler ([`RandomScheduler`]) or a state-aware scheduler
+/// (every [`crate::scenario::DynScheduler`] is one).
+pub trait Chooser<G, S> {
+    /// `true` if every choice is an arc of the graph by construction (the
+    /// uniform sampler): bursts then skip per-step arc validation and count
+    /// their steps as `hot_steps` rather than `scheduled_steps`.
+    const SAMPLES_ARCS: bool = false;
+
+    /// Picks the next interaction from the graph, the current states and the
+    /// simulation's RNG.
+    ///
+    /// # Errors
+    ///
+    /// Deterministic choosers return [`PopulationError::ScheduleExhausted`]
+    /// once their sequence runs out.
+    fn choose(&mut self, graph: &G, states: &[S], rng: &mut ChaCha8Rng) -> Result<Interaction>;
+
+    /// The chooser's deterministic phase, if it has one (see
+    /// [`crate::scheduler::Scheduler::phase`]).
+    fn phase(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl<G: InteractionGraph, S> Chooser<G, S> for RandomScheduler {
+    const SAMPLES_ARCS: bool = true;
+
+    #[inline(always)]
+    fn choose(&mut self, graph: &G, _states: &[S], rng: &mut ChaCha8Rng) -> Result<Interaction> {
+        Ok(graph.sample(rng))
     }
 }
 
@@ -484,7 +469,8 @@ where
         let mut changes = Vec::new();
         let mut counter = LeaderCounter::new(&self.protocol, self.config.states());
         for _ in 0..max_steps {
-            self.step_observed(&mut counter);
+            let interaction = self.graph.sample(&mut self.rng);
+            self.apply_observed(interaction, &mut counter);
             if counter.last_step_changed() {
                 changes.push(self.steps);
                 if self.trace.is_enabled() {
@@ -529,8 +515,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::UniqueLeader;
+    use crate::convergence::{Criterion, UniqueLeader};
     use crate::graph::{CompleteGraph, DirectedRing};
+
+    /// Runs `sim` until it has a unique leader (the criterion the
+    /// convergence tests below share).
+    fn run_to_unique_leader<G: InteractionGraph>(
+        sim: &mut Simulation<Fratricide, G>,
+        check_interval: u64,
+        max_steps: u64,
+    ) -> ConvergenceReport {
+        sim.run_until(
+            |p, c| UniqueLeader.is_satisfied(p, c.states()),
+            check_interval,
+            max_steps,
+        )
+    }
 
     /// Classic pairwise leader elimination on a complete graph.
     #[derive(Clone, Debug)]
@@ -578,10 +578,9 @@ mod tests {
         let g = CompleteGraph::new(16);
         let c = Configuration::uniform(16, true);
         let mut sim = Simulation::new(Fratricide, g, c, 11);
-        let report = sim.run_criterion(&UniqueLeader, 1, 200_000);
+        let report = run_to_unique_leader(&mut sim, 1, 200_000);
         assert!(report.converged());
         assert_eq!(sim.count_leaders(), 1);
-        assert_eq!(report.criterion, "unique-leader");
         // Leaders never increase, so the criterion keeps holding.
         sim.run_steps(10_000);
         assert_eq!(sim.count_leaders(), 1);
@@ -592,7 +591,7 @@ mod tests {
         let g = CompleteGraph::new(4);
         let c = Configuration::from_states(vec![true, false, false, false]);
         let mut sim = Simulation::new(Fratricide, g, c, 0);
-        let report = sim.run_criterion(&UniqueLeader, 100, 1000);
+        let report = run_to_unique_leader(&mut sim, 100, 1000);
         assert!(report.converged());
         assert_eq!(report.steps_executed, 0);
         assert_eq!(sim.steps(), 0);
@@ -604,7 +603,7 @@ mod tests {
         let c = Configuration::uniform(4, false);
         let mut sim = Simulation::new(Fratricide, g, c, 0);
         // No leader will ever appear; the run must stop at the budget.
-        let report = sim.run_criterion(&UniqueLeader, 7, 100);
+        let report = run_to_unique_leader(&mut sim, 7, 100);
         assert!(!report.converged());
         assert_eq!(report.steps_executed, 100);
         assert_eq!(sim.steps(), 100);
@@ -658,30 +657,90 @@ mod tests {
         let _ = Simulation::new(Misconfigured, g, Configuration::uniform(4, false), 0);
     }
 
-    #[test]
-    fn scheduler_arc_membership_is_enforced() {
-        use crate::scheduler::SequenceScheduler;
-        let g = DirectedRing::new(4).unwrap();
-        let mut sim = Simulation::new(Broadcast, g, Configuration::uniform(4, 0u32), 5);
-        // (0, 2) is not an arc of the directed ring.
-        let mut bad =
-            SequenceScheduler::new(InteractionSeq::from_interactions(vec![Interaction::new(
-                0, 2,
-            )]));
-        let err = sim.step_with_scheduler(&mut bad).unwrap_err();
-        assert!(matches!(err, PopulationError::NotAnArc { .. }));
+    /// Replays a fixed interaction list, then reports exhaustion.
+    struct Replay(Vec<Interaction>);
+    impl<G, S> Chooser<G, S> for Replay {
+        fn choose(&mut self, _g: &G, _s: &[S], _rng: &mut ChaCha8Rng) -> Result<Interaction> {
+            if self.0.is_empty() {
+                return Err(PopulationError::ScheduleExhausted { available: 0 });
+            }
+            Ok(self.0.remove(0))
+        }
+    }
+
+    /// Ends the burst once the simulation reaches `at` steps.
+    struct HaltAt(u64);
+    impl<P: Protocol> StepObserver<P> for HaltAt {
+        fn pre_interaction(&mut self, _: &P, _: Interaction, _: &P::State, _: &P::State) {}
+        fn post_interaction(&mut self, _: &P, _: Interaction, _: &P::State, _: &P::State) {}
+        fn after_step(
+            &mut self,
+            _config: &mut Configuration<P::State>,
+            steps: u64,
+            _phase: &dyn Fn() -> Option<u64>,
+        ) -> bool {
+            steps == self.0
+        }
     }
 
     #[test]
-    fn step_with_random_scheduler_object() {
-        use crate::scheduler::RandomScheduler;
+    fn scheduler_arc_membership_is_enforced() {
         let g = DirectedRing::new(4).unwrap();
         let mut sim = Simulation::new(Broadcast, g, Configuration::uniform(4, 0u32), 5);
-        let mut sched = RandomScheduler::new();
+        // (0, 2) is not an arc of the directed ring.
+        let mut bad = Replay(vec![Interaction::new(1, 2), Interaction::new(0, 2)]);
+        let err = sim.run_burst(5, &mut bad, &mut NoObserver).unwrap_err();
+        assert!(matches!(err, PopulationError::NotAnArc { .. }));
+        assert_eq!(
+            sim.steps(),
+            1,
+            "the valid step before the bad one stays applied"
+        );
+        // Exhaustion surfaces the chooser's own error.
+        let err = sim
+            .run_burst(1, &mut Replay(Vec::new()), &mut NoObserver)
+            .unwrap_err();
+        assert!(matches!(err, PopulationError::ScheduleExhausted { .. }));
+    }
+
+    #[test]
+    fn single_steps_replay_a_burst() {
+        let g = CompleteGraph::new(6);
+        let states = Configuration::from_states(vec![1u32, 2, 3, 4, 5, 6]);
+        let mut stepped = Simulation::new(Broadcast, g, states.clone(), 5);
+        let mut burst = Simulation::new(Broadcast, g, states.clone(), 5);
+        let mut chosen = Simulation::new(Broadcast, g, states, 5);
         for _ in 0..10 {
-            sim.step_with_scheduler(&mut sched).unwrap();
+            stepped.step();
         }
-        assert_eq!(sim.steps(), 10);
+        burst.run_steps(10);
+        let chosen_burst = chosen
+            .run_burst(10, &mut RandomScheduler, &mut NoObserver)
+            .unwrap();
+        assert_eq!(stepped.config(), burst.config());
+        assert_eq!(burst.stats().steps(), 10);
+        assert_eq!(chosen_burst, (10, false));
+        assert_eq!(chosen.config(), burst.config());
+    }
+
+    #[test]
+    fn an_observer_can_end_a_burst_early() {
+        let g = CompleteGraph::new(8);
+        let mut sim = Simulation::new(Fratricide, g, Configuration::uniform(8, true), 1);
+        let burst = sim
+            .run_burst(100, &mut RandomScheduler, &mut HaltAt(3))
+            .unwrap();
+        assert_eq!(burst, (3, true));
+        assert_eq!(sim.steps(), 3);
+        // A halt on the burst's last step is reported too.
+        let burst = sim
+            .run_burst(2, &mut RandomScheduler, &mut HaltAt(5))
+            .unwrap();
+        assert_eq!(burst, (2, true));
+        let burst = sim
+            .run_burst(2, &mut RandomScheduler, &mut HaltAt(99))
+            .unwrap();
+        assert_eq!(burst, (2, false));
     }
 
     #[test]
@@ -722,7 +781,7 @@ mod tests {
         let c = Configuration::uniform(32, true);
         let mut sim = Simulation::new(Fratricide, g, c, 17);
         let interval = 500;
-        let report = sim.run_criterion(&UniqueLeader, interval, 5_000_000);
+        let report = run_to_unique_leader(&mut sim, interval, 5_000_000);
         assert!(report.converged());
         assert_eq!(report.convergence_step() % interval, 0);
     }
