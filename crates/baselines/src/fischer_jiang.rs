@@ -10,10 +10,18 @@
 //! ## Reconstruction notes (see `DESIGN.md` §4)
 //!
 //! * **Oracle.**  The oracle is simulated exactly the way the `Θ(n³)` bound
-//!   assumes: the environment hook inspects the global configuration every
-//!   step and sets each agent's `oracle_no_leader` flag to "there is no
-//!   leader anywhere".  An agent whose flag is set becomes a leader at its
-//!   next interaction.
+//!   assumes: before every step it sets each agent's `oracle_no_leader` flag
+//!   to "there is no leader anywhere".  An agent whose flag is set becomes a
+//!   leader at its next interaction.  The simulation realises this step
+//!   incrementally through the oracle hooks ([`Protocol::oracle_count`]):
+//!   it keeps the number of leaders, of bullet carriers, of agents with
+//!   `may_fire` unset and of agents told "no leader" up to date from the two
+//!   agents each interaction touches, and pays an O(n) broadcast only when
+//!   the verdict flips or a bullet-free step finds `may_fire` flags to set —
+//!   on the ring, about once per `n²/4` steps while converging and once per
+//!   `n²` steps inside the safe set.  The configuration
+//!   after every step is the one a full pass before each step would give,
+//!   because the transition never writes `oracle_no_leader`.
 //! * **Elimination.**  Leaders fight with live/dummy bullets and shields as
 //!   in Algorithm 5, but *without* the bullet-absence signal `signal_B`
 //!   (that signal is the 2021/2023 refinement): the oracle also reports
@@ -25,7 +33,7 @@
 //!   Table 1 ordering (slower than \[28\] and this work) is what the benchmark
 //!   reproduces.
 
-use population::{Configuration, LeaderElection, Protocol};
+use population::{Configuration, LeaderElection, OracleCounts, Protocol};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +110,7 @@ impl FischerJiang {
 impl Protocol for FischerJiang {
     type State = FjState;
 
-    /// The oracle `Ω?` runs through the environment hook every step.
+    /// The oracle `Ω?` runs before every step.
     const HAS_ENVIRONMENT: bool = true;
 
     fn interact(&self, l: &mut FjState, r: &mut FjState) {
@@ -148,17 +156,28 @@ impl Protocol for FischerJiang {
         }
     }
 
-    fn environment(&self, states: &mut [FjState]) {
-        // The ideal oracle Ω?: report instantly to every agent whether a
-        // leader exists anywhere, and whether any bullet is still in flight
-        // (the firing gate that replaces the 2021/2023 signal_B mechanism).
-        let no_leader = !states.iter().any(|s| s.leader);
-        let no_bullet = states.iter().all(|s| s.bullet == bullet::NONE);
-        for s in states.iter_mut() {
-            s.oracle_no_leader = no_leader;
-            if no_bullet {
-                s.may_fire = true;
-            }
+    // The ideal oracle Ω?: report instantly to every agent whether a leader
+    // exists anywhere, and whether any bullet is still in flight (the
+    // firing gate that replaces the 2021/2023 signal_B mechanism).
+    #[inline]
+    fn oracle_count(&self, s: &FjState) -> OracleCounts {
+        OracleCounts {
+            leaders: s.leader.into(),
+            in_flight: (s.bullet != bullet::NONE).into(),
+            waiting: (!s.may_fire).into(),
+            told_no_leader: s.oracle_no_leader.into(),
+        }
+    }
+
+    #[inline]
+    fn oracle_due(&self, counts: &OracleCounts, n: usize) -> bool {
+        !counts.verdict_current(n) || (counts.in_flight == 0 && counts.waiting > 0)
+    }
+
+    fn oracle_broadcast(&self, s: &mut FjState, counts: &OracleCounts) {
+        s.oracle_no_leader = counts.leaders == 0;
+        if counts.in_flight == 0 {
+            s.may_fire = true;
         }
     }
 

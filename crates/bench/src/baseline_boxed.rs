@@ -21,7 +21,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-use population::{Configuration, LeaderElection, Protocol};
+use population::{Configuration, LeaderElection, OracleCounts, Protocol};
 
 /// Object-safe supertrait bundle for boxed erased states (the old
 /// `ErasedState`).  Blanket-implemented; never implemented manually.
@@ -125,7 +125,9 @@ pub fn downcast_boxed_config<S: Any + Clone>(
 /// `DynLeaderElection`, specialized to the boxed representation).
 trait BoxedLe: Send + Sync {
     fn interact_dyn(&self, initiator: &mut BoxedState, responder: &mut BoxedState);
-    fn environment_dyn(&self, states: &mut [BoxedState]);
+    fn oracle_count_dyn(&self, state: &BoxedState) -> OracleCounts;
+    fn oracle_due_dyn(&self, counts: &OracleCounts, n: usize) -> bool;
+    fn oracle_broadcast_dyn(&self, state: &mut BoxedState, counts: &OracleCounts);
     fn uses_oracle_dyn(&self) -> bool;
     fn is_leader_dyn(&self, state: &BoxedState) -> bool;
     fn protocol_name(&self) -> &'static str;
@@ -150,23 +152,24 @@ where
         self.0.interact(i, r);
     }
 
-    fn environment_dyn(&self, states: &mut [BoxedState]) {
-        if self.0.uses_oracle() {
-            let mut typed: Vec<P::State> = states
-                .iter()
-                .map(|s| {
-                    s.downcast_ref::<P::State>()
-                        .unwrap_or_else(|| {
-                            panic!("state does not belong to protocol {}", self.0.name())
-                        })
-                        .clone()
-                })
-                .collect();
-            self.0.environment(&mut typed);
-            for (slot, value) in states.iter_mut().zip(typed) {
-                *slot.downcast_mut::<P::State>().expect("checked above") = value;
-            }
-        }
+    fn oracle_count_dyn(&self, state: &BoxedState) -> OracleCounts {
+        let name = self.0.name();
+        let s = state
+            .downcast_ref::<P::State>()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {name}"));
+        self.0.oracle_count(s)
+    }
+
+    fn oracle_due_dyn(&self, counts: &OracleCounts, n: usize) -> bool {
+        self.0.oracle_due(counts, n)
+    }
+
+    fn oracle_broadcast_dyn(&self, state: &mut BoxedState, counts: &OracleCounts) {
+        let name = self.0.name();
+        let s = state
+            .downcast_mut::<P::State>()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {name}"));
+        self.0.oracle_broadcast(s, counts);
     }
 
     fn uses_oracle_dyn(&self) -> bool {
@@ -223,8 +226,16 @@ impl Protocol for BoxedProtocol {
         self.inner.interact_dyn(initiator, responder);
     }
 
-    fn environment(&self, states: &mut [BoxedState]) {
-        self.inner.environment_dyn(states);
+    fn oracle_count(&self, state: &BoxedState) -> OracleCounts {
+        self.inner.oracle_count_dyn(state)
+    }
+
+    fn oracle_due(&self, counts: &OracleCounts, n: usize) -> bool {
+        self.inner.oracle_due_dyn(counts, n)
+    }
+
+    fn oracle_broadcast(&self, state: &mut BoxedState, counts: &OracleCounts) {
+        self.inner.oracle_broadcast_dyn(state, counts);
     }
 
     fn uses_oracle(&self) -> bool {

@@ -337,9 +337,8 @@ fn inline_slot_path_matches_the_boxed_reference_bit_for_bit() {
 // ---------------------------------------------------------------------------
 
 /// One protocol's incremental-vs-recount check: `run_tracking_leader_changes`
-/// (incremental `LeaderCounter` path for pure protocols, recount fallback
-/// for oracle ones) against a from-scratch recount loop on an identical
-/// simulation.
+/// (the incremental `LeaderCounter` path, for pure and oracle protocols
+/// alike) against a from-scratch recount loop on an identical simulation.
 fn assert_incremental_tracking_matches<P>(
     protocol: P,
     config: Configuration<P::State>,
@@ -397,9 +396,9 @@ fn assert_incremental_tracking_matches<P>(
 }
 
 /// The incremental leader-count path is bit-identical to the recount
-/// reference for all four Table 1 protocols × 2 sizes × 2 seeds (the oracle
-/// baseline exercises the recount fallback; the pure ones the incremental
-/// observer).
+/// reference for all four Table 1 protocols × 2 sizes × 2 seeds.  For the
+/// oracle baseline this pins that oracle broadcasts never change the
+/// output map, which is what keeps the incremental observer exact there.
 #[test]
 fn incremental_leader_tracking_matches_the_recount_reference() {
     const STEPS: u64 = 20_000;

@@ -223,3 +223,28 @@ fn step_counters_account_for_every_traced_step() {
         "every traced step is counted exactly once ({hot} hot + {scheduled} scheduled)"
     );
 }
+
+#[test]
+fn oracle_passes_counter_sums_the_runs_oracle_passes() {
+    let _guard = serialize();
+    let trace = ssle_telemetry::install_memory("telemetry-equivalence").expect("fresh sink");
+    let mut expected = 0;
+    for seed in 0..3 {
+        let point = SweepPoint::new(16, seed);
+        let run = ProtocolKind::FischerJiang.scenario().run_full(&point);
+        expected += run.sim.stats().oracle_passes();
+        let pure = ProtocolKind::Ppl.scenario().run_full(&point);
+        assert_eq!(pure.sim.stats().oracle_passes(), 0, "P_PL has no oracle");
+    }
+    ssle_telemetry::finish().expect("active stream finishes");
+
+    let events = events(&trace.contents());
+    let counters = events
+        .iter()
+        .rfind(|e| e.get("event").and_then(analysis::json::JsonValue::as_str) == Some("metrics"))
+        .and_then(|e| e.get("registry"))
+        .and_then(|r| r.get("counters"))
+        .expect("the final metrics snapshot carries counters");
+    assert!(expected > 0, "the oracle ran");
+    assert_eq!(exact(counters.get("oracle_passes")), expected);
+}

@@ -113,7 +113,7 @@ pub mod prelude {
     };
     pub use crate::init::Initializer;
     pub use crate::observer::{LeaderCounter, NoObserver, Recorded, StepObserver};
-    pub use crate::protocol::{LeaderElection, LeaderOutput, Protocol};
+    pub use crate::protocol::{LeaderElection, LeaderOutput, OracleCounts, Protocol};
     pub use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
     pub use crate::scenario::{
         downcast_config, AnyGraph, ByzantineWindow, ChurnEvent, ChurnKind, ChurnPlan, DetectedRun,

@@ -22,11 +22,13 @@
 //! `Simulation::run_tracking_leader_changes` and
 //! `Scenario::leader_trajectory`.
 //!
-//! Incremental observation is only sound when interactions are the *only*
-//! thing mutating states between hooks.  Oracle protocols
-//! ([`Protocol::HAS_ENVIRONMENT`]) mutate arbitrary states through the
-//! environment hook, so the callers above fall back to full recounts for
-//! them (see [`crate::simulation::Simulation::environment_active`]).
+//! Incremental observation is only sound for what interactions alone
+//! change between hooks.  An oracle ([`Protocol::HAS_ENVIRONMENT`]) may
+//! rewrite any agent before a step, but by the oracle hooks' contract
+//! ([`Protocol::oracle_count`]) never its output, so [`LeaderCounter`]
+//! stays exact for oracle protocols too; observers of whole states (the
+//! configuration digest of [`crate::recurrence`]) are disabled for them
+//! (see [`crate::simulation::Simulation::environment_active`]).
 
 use crate::config::Configuration;
 use crate::protocol::{LeaderElection, Protocol};
@@ -38,6 +40,14 @@ use crate::schedule::Interaction;
 /// `post_interaction` sees the same two slots *after* it.  Both are called
 /// with the protocol so observers can evaluate output maps.
 pub trait StepObserver<P: Protocol> {
+    /// `true` if [`StepObserver::after_step`] may rewrite states.  The
+    /// simulation then treats every step's `after_step` as an out-of-band
+    /// write and re-tallies an oracle's counts before the next step
+    /// ([`Protocol::oracle_count`]).  An observer that rewrites states
+    /// without setting this would leave the oracle reasoning from stale
+    /// counts.
+    const REWRITES_STATES: bool = false;
+
     /// Called immediately before the transition function runs.
     fn pre_interaction(
         &mut self,
@@ -60,8 +70,9 @@ pub trait StepObserver<P: Protocol> {
     /// ([`crate::simulation::Simulation::run_burst`]) has completed, with
     /// the configuration it reached, the simulation's step count and the
     /// chooser's deterministic phase (evaluated on demand).  The observer
-    /// may rewrite states here; returning `true` ends the burst after this
-    /// step.  The default does nothing and compiles away.
+    /// may rewrite states here if it sets
+    /// [`StepObserver::REWRITES_STATES`]; returning `true` ends the burst
+    /// after this step.  The default does nothing and compiles away.
     #[inline(always)]
     fn after_step(
         &mut self,
@@ -114,7 +125,7 @@ impl LeaderCounter {
     }
 
     /// Re-seeds the counter after out-of-band state mutation (fault
-    /// injection, oracle hooks, direct `config_mut` edits).
+    /// injection, churn, direct `config_mut` edits).
     pub fn resync<P: LeaderElection>(&mut self, protocol: &P, states: &[P::State]) {
         self.count = protocol.count_leaders(states);
         self.changed = false;
@@ -168,6 +179,8 @@ impl<O> Recorded<O> {
 }
 
 impl<P: Protocol, O: StepObserver<P>> StepObserver<P> for Recorded<O> {
+    const REWRITES_STATES: bool = O::REWRITES_STATES;
+
     #[inline]
     fn pre_interaction(
         &mut self,

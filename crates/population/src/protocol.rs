@@ -32,6 +32,79 @@ impl std::fmt::Display for LeaderOutput {
     }
 }
 
+/// How many agents hold each per-agent property an oracle's verdict
+/// depends on: the running state of an incremental oracle (see
+/// [`Protocol::oracle_count`]).
+///
+/// The fields are named after Fischer–Jiang's `Ω?`, the oracle this models;
+/// another oracle is free to use any subset of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct OracleCounts {
+    /// Agents outputting `L`.
+    pub leaders: u32,
+    /// Agents carrying work the oracle waits for (a bullet in flight).
+    pub in_flight: u32,
+    /// Agents waiting for an oracle grant (permission to fire unset).
+    pub waiting: u32,
+    /// Agents currently told "no leader exists" by the oracle.
+    pub told_no_leader: u32,
+}
+
+impl OracleCounts {
+    /// The sum of every agent's [`Protocol::oracle_count`]: one O(n) pass.
+    pub fn tally<P: Protocol>(protocol: &P, states: &[P::State]) -> Self {
+        states.iter().fold(OracleCounts::default(), |sum, s| {
+            sum + protocol.oracle_count(s)
+        })
+    }
+
+    /// `true` if every one of the `n` agents is told "no leader exists"
+    /// exactly when no agent outputs `L`: a no-leader broadcast would
+    /// change nothing.
+    pub fn verdict_current(&self, n: usize) -> bool {
+        let told = if self.leaders == 0 { n } else { 0 };
+        self.told_no_leader as usize == told
+    }
+
+    /// Broadcasts the verdict of these counts to every agent
+    /// ([`Protocol::oracle_broadcast`]) and updates the counts to match
+    /// the result, in one O(n) pass.
+    pub fn broadcast<P: Protocol>(&mut self, protocol: &P, states: &mut [P::State]) {
+        let plan = *self;
+        for s in states {
+            let before = protocol.oracle_count(s);
+            protocol.oracle_broadcast(s, &plan);
+            *self = *self + protocol.oracle_count(s) - before;
+        }
+    }
+}
+
+impl std::ops::Add for OracleCounts {
+    type Output = Self;
+    #[inline]
+    fn add(self, rhs: Self) -> Self {
+        OracleCounts {
+            leaders: self.leaders + rhs.leaders,
+            in_flight: self.in_flight + rhs.in_flight,
+            waiting: self.waiting + rhs.waiting,
+            told_no_leader: self.told_no_leader + rhs.told_no_leader,
+        }
+    }
+}
+
+impl std::ops::Sub for OracleCounts {
+    type Output = Self;
+    #[inline]
+    fn sub(self, rhs: Self) -> Self {
+        OracleCounts {
+            leaders: self.leaders - rhs.leaders,
+            in_flight: self.in_flight - rhs.in_flight,
+            waiting: self.waiting - rhs.waiting,
+            told_no_leader: self.told_no_leader - rhs.told_no_leader,
+        }
+    }
+}
+
 /// A population protocol: a deterministic pairwise transition function over a
 /// finite state space.
 ///
@@ -47,18 +120,21 @@ pub trait Protocol: Clone + Send + Sync {
     /// The per-agent state type (the finite set `Q`).
     type State: Clone + PartialEq + std::fmt::Debug + Send + Sync;
 
-    /// `true` iff this protocol type may override [`Protocol::environment`].
+    /// `true` iff this protocol type may have an oracle (see
+    /// [`Protocol::uses_oracle`]).
     ///
-    /// The simulation's hot loop calls the environment hook once per step;
-    /// for the overwhelmingly common pure protocols that call is a wasted
-    /// virtual dispatch under type erasure.  This associated constant lets
-    /// [`crate::simulation::Simulation`] compile the call out entirely for
-    /// pure protocol types and gate it behind one cached boolean for erased
+    /// The simulation keeps an oracle's counts up to date around every
+    /// step; for the overwhelmingly common pure protocols that bookkeeping
+    /// is wasted work.  This associated constant lets
+    /// [`crate::simulation::Simulation`] compile it out entirely for pure
+    /// protocol types and gate it behind one cached boolean for erased
     /// ones.
     ///
-    /// Any protocol that overrides [`Protocol::environment`] **must** set
-    /// this to `true` (and override [`Protocol::uses_oracle`]); otherwise
-    /// its oracle is silently never invoked.
+    /// Any protocol that overrides the oracle hooks
+    /// ([`Protocol::oracle_count`], [`Protocol::oracle_due`],
+    /// [`Protocol::oracle_broadcast`]) **must** set this to `true` (and
+    /// override [`Protocol::uses_oracle`]); otherwise its oracle is
+    /// silently never consulted.
     const HAS_ENVIRONMENT: bool = false;
 
     /// The transition function `T`.
@@ -68,32 +144,81 @@ pub trait Protocol: Clone + Send + Sync {
     /// roles are simply the arc's tail and head.
     fn interact(&self, initiator: &mut Self::State, responder: &mut Self::State);
 
-    /// An environment hook invoked by the simulation once per step *before*
-    /// the scheduled interaction, with mutable access to the whole
-    /// configuration.
+    /// One agent's contribution to the oracle's [`OracleCounts`]: a `1` in
+    /// every count whose property the state has.
     ///
-    /// The default implementation does nothing.  This hook exists solely to
-    /// model *oracles* such as Fischer–Jiang's `Ω?` eventual leader detector:
-    /// the oracle observes the global configuration and feeds a flag back
-    /// into agent states.  Protocols that do not use an oracle (including the
-    /// paper's `P_PL`) must leave this as the no-op default so that the
-    /// simulated model is the plain population-protocol model.
+    /// # The oracle hooks
     ///
-    /// Overriding this hook requires also setting
-    /// [`Protocol::HAS_ENVIRONMENT`] to `true` and overriding
-    /// [`Protocol::uses_oracle`]; the simulation only invokes the hook when
-    /// both report an oracle.
-    fn environment(&self, _states: &mut [Self::State]) {}
+    /// Oracles such as Fischer–Jiang's `Ω?` eventual leader detector observe
+    /// the global configuration and feed a verdict back into agent states.
+    /// The model is an environment step before every interaction; the
+    /// simulation realises it incrementally from three hooks:
+    ///
+    /// * `oracle_count` — the per-agent contribution.  The simulation keeps
+    ///   the sum over all agents, updated from the two touched agents
+    ///   before and after each transition, and re-tallied from scratch after
+    ///   any out-of-band write (fault injection, churn, a rewriting
+    ///   observer, [`crate::simulation::Simulation::config_mut`]);
+    /// * [`Protocol::oracle_due`] — the plan: whether a broadcast from the
+    ///   current counts would change any agent;
+    /// * [`Protocol::oracle_broadcast`] — the broadcast: writes the verdict
+    ///   the counts imply into one agent, applied to every agent in one
+    ///   O(n) pass, and only when the plan says so.
+    ///
+    /// Together they must reproduce the environment step exactly: after a
+    /// due broadcast the configuration equals what a from-scratch pass
+    /// would have written, and when the plan says "not due" such a pass
+    /// would have changed nothing.  A broadcast **never changes the output
+    /// map** ([`LeaderElection::is_leader`] of every agent is the same
+    /// before and after it), so incremental leader observers
+    /// ([`crate::observer::LeaderCounter`]) stay sound across broadcasts.
+    ///
+    /// Protocols without an oracle (including the paper's `P_PL`) leave all
+    /// three hooks as their defaults, so that the simulated model is the
+    /// plain population-protocol model.
+    fn oracle_count(&self, _state: &Self::State) -> OracleCounts {
+        OracleCounts::default()
+    }
 
-    /// Returns `true` if this protocol overrides [`Protocol::environment`]
-    /// with a non-trivial oracle.
+    /// The oracle's plan: `true` if a broadcast from `counts` (summed over
+    /// all `n` agents) would change at least one agent.  See
+    /// [`Protocol::oracle_count`].
+    fn oracle_due(&self, _counts: &OracleCounts, _n: usize) -> bool {
+        false
+    }
+
+    /// The oracle's broadcast to one agent: writes the verdict implied by
+    /// `counts` (the sums before the broadcast pass) into `state`.  Must not
+    /// change the agent's output.  See [`Protocol::oracle_count`].
+    fn oracle_broadcast(&self, _state: &mut Self::State, _counts: &OracleCounts) {}
+
+    /// The environment step from scratch, derived from the oracle hooks:
+    /// re-tally the whole configuration, plan, and broadcast if due.
     ///
-    /// Any protocol that overrides [`Protocol::environment`] **must** also
-    /// override this to return `true`: reporting code uses it to label
-    /// oracle assumptions in generated tables, and the simulation skips the
-    /// per-step environment hook entirely when it returns `false`
-    /// (see [`Protocol::HAS_ENVIRONMENT`]), so an inconsistent
-    /// implementation would silently lose its oracle.
+    /// The simulation never calls this — it keeps the counts incrementally
+    /// and pays the O(n) passes only when they are due — so it is the
+    /// reference for one step of the oracle, e.g. for timing a full pass.
+    /// A no-op unless the protocol declares an oracle
+    /// ([`Protocol::HAS_ENVIRONMENT`] and [`Protocol::uses_oracle`]).
+    fn environment(&self, states: &mut [Self::State]) {
+        if !(Self::HAS_ENVIRONMENT && self.uses_oracle()) {
+            return;
+        }
+        let mut counts = OracleCounts::tally(self, states);
+        if self.oracle_due(&counts, states.len()) {
+            counts.broadcast(self, states);
+        }
+    }
+
+    /// Returns `true` if this protocol has a non-trivial oracle (overrides
+    /// the oracle hooks).
+    ///
+    /// Any protocol that overrides the oracle hooks **must** also override
+    /// this to return `true`: reporting code uses it to label oracle
+    /// assumptions in generated tables, and the simulation skips the oracle
+    /// bookkeeping entirely when it returns `false` (see
+    /// [`Protocol::HAS_ENVIRONMENT`]), so an inconsistent implementation
+    /// would silently lose its oracle.
     ///
     /// Unlike the compile-time [`Protocol::HAS_ENVIRONMENT`], this is a
     /// runtime property: the erased [`crate::scenario::DynProtocol`] must

@@ -86,7 +86,7 @@ use crate::error::{PopulationError, Result};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::graph::{ArbitraryGraph, CompleteGraph, DirectedRing, InteractionGraph, UndirectedRing};
 use crate::observer::{LeaderCounter, NoObserver, StepObserver};
-use crate::protocol::{LeaderElection, Protocol};
+use crate::protocol::{LeaderElection, OracleCounts, Protocol};
 use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
 use crate::schedule::Interaction;
 use crate::scheduler::{RandomScheduler, Scheduler};
@@ -130,8 +130,14 @@ pub trait DynLeaderElection: Send + Sync {
     /// (mixing states of different protocols in one configuration).
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState);
 
-    /// The environment (oracle) hook on erased states.
-    fn environment_dyn(&self, states: &mut [DynState]);
+    /// See [`Protocol::oracle_count`].
+    fn oracle_count_dyn(&self, state: &DynState) -> OracleCounts;
+
+    /// See [`Protocol::oracle_due`].
+    fn oracle_due_dyn(&self, counts: &OracleCounts, n: usize) -> bool;
+
+    /// See [`Protocol::oracle_broadcast`].
+    fn oracle_broadcast_dyn(&self, state: &mut DynState, counts: &OracleCounts);
 
     /// See [`Protocol::uses_oracle`].
     fn uses_oracle_dyn(&self) -> bool;
@@ -163,31 +169,18 @@ fn downcast_pair<'a, S: SlotState>(
     (i, r)
 }
 
-/// Applies a typed environment hook to a slice of erased states by copying
-/// the states out and back.  Only called for protocols that declare the hook
-/// via [`Protocol::uses_oracle`] (which every `environment` override must —
-/// see its contract), so pure population protocols pay nothing per step.
-/// Oracle protocols pay one `Vec` allocation plus `n` clones per step under
-/// erasure — a known constant-factor cost of keeping the hook's contiguous
-/// `&mut [State]` signature; their states are `O(1)`-sized, and the typed
-/// `Simulation` remains available where that overhead matters.
-fn environment_via_copy<P>(protocol: &P, states: &mut [DynState])
-where
-    P: Protocol,
-    P::State: Any,
-{
-    let mut typed: Vec<P::State> = states
-        .iter()
-        .map(|s| {
-            s.downcast_ref::<P::State>()
-                .unwrap_or_else(|| panic!("state does not belong to protocol {}", protocol.name()))
-                .clone()
-        })
-        .collect();
-    protocol.environment(&mut typed);
-    for (slot, value) in states.iter_mut().zip(typed) {
-        *slot.downcast_mut::<P::State>().expect("checked above") = value;
-    }
+/// The typed state of one erased agent.
+fn downcast_state<'a, S: SlotState>(state: &'a DynState, name: &str) -> &'a S {
+    state
+        .downcast_ref::<S>()
+        .unwrap_or_else(|| panic!("state does not belong to protocol {name}"))
+}
+
+/// The typed state of one erased agent, mutably.
+fn downcast_state_mut<'a, S: SlotState>(state: &'a mut DynState, name: &str) -> &'a mut S {
+    state
+        .downcast_mut::<S>()
+        .unwrap_or_else(|| panic!("state does not belong to protocol {name}"))
 }
 
 impl<P> DynLeaderElection for ErasedLe<P>
@@ -200,10 +193,18 @@ where
         self.0.interact(i, r);
     }
 
-    fn environment_dyn(&self, states: &mut [DynState]) {
-        if self.0.uses_oracle() {
-            environment_via_copy(&self.0, states);
-        }
+    fn oracle_count_dyn(&self, state: &DynState) -> OracleCounts {
+        self.0
+            .oracle_count(downcast_state::<P::State>(state, self.0.name()))
+    }
+
+    fn oracle_due_dyn(&self, counts: &OracleCounts, n: usize) -> bool {
+        self.0.oracle_due(counts, n)
+    }
+
+    fn oracle_broadcast_dyn(&self, state: &mut DynState, counts: &OracleCounts) {
+        let state = downcast_state_mut::<P::State>(state, self.0.name());
+        self.0.oracle_broadcast(state, counts);
     }
 
     fn uses_oracle_dyn(&self) -> bool {
@@ -231,10 +232,18 @@ where
         self.0.interact(i, r);
     }
 
-    fn environment_dyn(&self, states: &mut [DynState]) {
-        if self.0.uses_oracle() {
-            environment_via_copy(&self.0, states);
-        }
+    fn oracle_count_dyn(&self, state: &DynState) -> OracleCounts {
+        self.0
+            .oracle_count(downcast_state::<P::State>(state, self.0.name()))
+    }
+
+    fn oracle_due_dyn(&self, counts: &OracleCounts, n: usize) -> bool {
+        self.0.oracle_due(counts, n)
+    }
+
+    fn oracle_broadcast_dyn(&self, state: &mut DynState, counts: &OracleCounts) {
+        let state = downcast_state_mut::<P::State>(state, self.0.name());
+        self.0.oracle_broadcast(state, counts);
     }
 
     fn uses_oracle_dyn(&self) -> bool {
@@ -303,15 +312,23 @@ impl Protocol for DynProtocol {
     /// Conservatively `true`: whether the erased protocol actually has an
     /// oracle is a runtime property, reported by
     /// [`Protocol::uses_oracle`] and cached once per run by the simulation
-    /// — pure protocols under erasure still skip the per-step hook.
+    /// — pure protocols under erasure still skip the oracle bookkeeping.
     const HAS_ENVIRONMENT: bool = true;
 
     fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
         self.inner.interact_dyn(initiator, responder);
     }
 
-    fn environment(&self, states: &mut [DynState]) {
-        self.inner.environment_dyn(states);
+    fn oracle_count(&self, state: &DynState) -> OracleCounts {
+        self.inner.oracle_count_dyn(state)
+    }
+
+    fn oracle_due(&self, counts: &OracleCounts, n: usize) -> bool {
+        self.inner.oracle_due_dyn(counts, n)
+    }
+
+    fn oracle_broadcast(&self, state: &mut DynState, counts: &OracleCounts) {
+        self.inner.oracle_broadcast_dyn(state, counts);
     }
 
     fn uses_oracle(&self) -> bool {
@@ -1470,10 +1487,12 @@ impl Scenario {
     /// scenario's scheduler family drives the steps exactly as it does there
     /// too.
     ///
-    /// For pure protocols the leader count is maintained incrementally by a
-    /// [`LeaderCounter`] observer (O(1) amortized per step, re-seeded only
-    /// after states change out-of-band: faults, triggers, churn, Byzantine
-    /// segments); oracle protocols recount at each sample boundary.
+    /// The leader count is maintained incrementally by a [`LeaderCounter`]
+    /// observer (O(1) amortized per step, re-seeded only after states
+    /// change out-of-band: faults, triggers, churn, Byzantine segments).
+    /// Oracle broadcasts never change the output map
+    /// ([`Protocol::oracle_count`]), so this holds for oracle protocols
+    /// too.
     ///
     /// # Panics
     ///
@@ -1505,28 +1524,16 @@ impl Scenario {
         let mut run = self.start(point)?;
         let sample_every = sample_every.max(1);
         let mut out = Vec::new();
-        if run.sim.environment_active() {
-            run.drive(
-                &mut NoObserver,
-                total_steps,
-                sample_every,
-                |run, _, done| {
-                    out.push((done, run.sim.count_leaders()));
-                    false
-                },
-            )?;
-        } else {
-            let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
-            run.drive(
-                &mut counter,
-                total_steps,
-                sample_every,
-                |_, counter, done| {
-                    out.push((done, counter.count()));
-                    false
-                },
-            )?;
-        }
+        let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
+        run.drive(
+            &mut counter,
+            total_steps,
+            sample_every,
+            |_, counter, done| {
+                out.push((done, counter.count()));
+                false
+            },
+        )?;
         // A trajectory run has no stop predicate, so it never "converges".
         telemetry_run_end(total_steps, false);
         Ok(out)
@@ -1563,7 +1570,7 @@ impl Scenario {
     ///
     /// Propagates graph-construction errors, and returns
     /// [`PopulationError::OracleUnsupported`] for protocols with an
-    /// environment hook (the explorer models interactions only, so an
+    /// oracle (the explorer models interactions only, so an
     /// oracle's out-of-band mutations would make its verdict unsound).
     pub fn explore(
         &self,
@@ -1613,8 +1620,9 @@ impl Scenario {
     /// [`DynScheduler::phase`]: memoryless schedulers revisit configurations
     /// by chance at almost every step (any interaction that changes no state
     /// is a period-1 "recurrence"), so a candidate would be meaningless
-    /// there.  For protocols with an environment hook the digest cannot be
-    /// maintained incrementally, so detection is likewise disabled.  In both
+    /// there.  For oracle protocols the digest cannot be maintained
+    /// incrementally (a broadcast rewrites any agent), so detection is
+    /// likewise disabled.  In both
     /// cases `recurrence` is always `None` and the run itself is unaffected.
     ///
     /// # Errors
@@ -1622,8 +1630,8 @@ impl Scenario {
     /// See [`Scenario::try_run`].
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
         let mut run = self.start(point)?;
-        // Detection needs two preconditions.  The environment hook rewrites
-        // states out-of-band inside each step, so the incremental digest is
+        // Detection needs two preconditions.  An oracle broadcast rewrites
+        // states out-of-band inside a step, so the incremental digest is
         // only sound for pure protocols.  And a memoryless scheduler
         // (phase `None`, the uniform sampler included) revisits
         // configurations by chance constantly — every interaction that
@@ -2398,6 +2406,8 @@ struct Byzantine<'a> {
 }
 
 impl StepObserver<DynProtocol> for Byzantine<'_> {
+    const REWRITES_STATES: bool = true;
+
     fn pre_interaction(&mut self, _: &DynProtocol, _: Interaction, _: &DynState, _: &DynState) {}
 
     fn post_interaction(&mut self, _: &DynProtocol, e: Interaction, _: &DynState, _: &DynState) {
@@ -2874,20 +2884,16 @@ fn sync_typed_scratch<P: Protocol>(scratch: &mut Vec<P::State>, states: &[DynSta
 where
     P::State: Any,
 {
-    fn typed_ref<'a, S: SlotState>(s: &'a DynState, name: &str) -> &'a S {
-        s.downcast_ref::<S>()
-            .unwrap_or_else(|| panic!("state does not belong to protocol {name}"))
-    }
     if scratch.len() == states.len() {
         for (slot, s) in scratch.iter_mut().zip(states) {
-            slot.clone_from(typed_ref::<P::State>(s, name));
+            slot.clone_from(downcast_state::<P::State>(s, name));
         }
     } else {
         scratch.clear();
         scratch.extend(
             states
                 .iter()
-                .map(|s| typed_ref::<P::State>(s, name).clone()),
+                .map(|s| downcast_state::<P::State>(s, name).clone()),
         );
     }
 }
@@ -2917,9 +2923,9 @@ mod tests {
         }
     }
 
-    /// An oracle protocol: the environment hook counts leaders globally and
-    /// marks every agent with the verdict; the transition promotes marked
-    /// followers.
+    /// An oracle protocol: the oracle counts leaders globally and marks
+    /// every agent with the verdict; the transition promotes marked
+    /// initiators.
     #[derive(Clone, Debug)]
     struct OracleSpawner;
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -2935,11 +2941,18 @@ mod tests {
             }
         }
         const HAS_ENVIRONMENT: bool = true;
-        fn environment(&self, states: &mut [OracleState]) {
-            let none = !states.iter().any(|s| s.leader);
-            for s in states {
-                s.no_leader = none;
+        fn oracle_count(&self, s: &OracleState) -> OracleCounts {
+            OracleCounts {
+                leaders: s.leader.into(),
+                told_no_leader: s.no_leader.into(),
+                ..OracleCounts::default()
             }
+        }
+        fn oracle_due(&self, counts: &OracleCounts, n: usize) -> bool {
+            !counts.verdict_current(n)
+        }
+        fn oracle_broadcast(&self, s: &mut OracleState, counts: &OracleCounts) {
+            s.no_leader = counts.leaders == 0;
         }
         fn uses_oracle(&self) -> bool {
             true
@@ -3037,6 +3050,72 @@ mod tests {
         // The oracle fires before the very first interaction, so one step
         // suffices.
         assert_eq!(report.steps_executed, 1);
+    }
+
+    /// The oracle spawner's hooks keep the contract — a broadcast never
+    /// changes the output map — and reproduce its full-pass oracle (mark
+    /// every agent with "no leader anywhere" before each step) step by
+    /// step through the erased protocol, across `config_mut` rewrites.
+    #[test]
+    fn oracle_spawner_hooks_match_the_full_pass_oracle() {
+        let p = OracleSpawner;
+        for (leader, no_leader, leaders) in [
+            (false, false, 0),
+            (false, true, 1),
+            (true, false, 0),
+            (true, true, 1),
+        ] {
+            let state = OracleState { leader, no_leader };
+            let mut after = state;
+            let counts = OracleCounts {
+                leaders,
+                ..OracleCounts::default()
+            };
+            p.oracle_broadcast(&mut after, &counts);
+            assert_eq!(p.is_leader(&after), p.is_leader(&state));
+        }
+
+        let full_pass = |states: &mut [OracleState]| {
+            let none = !states.iter().any(|s| s.leader);
+            for s in states {
+                s.no_leader = none;
+            }
+        };
+        let n = 6;
+        let clean = OracleState {
+            leader: false,
+            no_leader: false,
+        };
+        let mut sim = Simulation::new(
+            DynProtocol::erase(OracleSpawner),
+            CompleteGraph::new(n),
+            Configuration::uniform(n, DynState::new(clean)),
+            3,
+        );
+        let mut reference = vec![clean; n];
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for step in 0..500 {
+            // Demote everyone now and then, leaving stale verdicts behind:
+            // the oracle must report "no leader" again.
+            if step % 50 == 0 {
+                for (agent, slot) in reference.iter_mut().enumerate() {
+                    *slot = OracleState {
+                        leader: false,
+                        no_leader: rng.gen(),
+                    };
+                    sim.config_mut()[agent] = DynState::new(*slot);
+                }
+            }
+            let e = sim.step();
+            full_pass(&mut reference);
+            let (i, j) = (e.initiator().index(), e.responder().index());
+            let (mut a, mut b) = (reference[i], reference[j]);
+            p.interact(&mut a, &mut b);
+            reference[i] = a;
+            reference[j] = b;
+            let got = downcast_config::<OracleState>(sim.config()).unwrap();
+            assert_eq!(got.states(), &reference[..], "step {step}");
+        }
     }
 
     #[test]

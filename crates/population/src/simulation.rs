@@ -21,7 +21,7 @@ use crate::convergence::ConvergenceReport;
 use crate::error::{PopulationError, Result};
 use crate::graph::InteractionGraph;
 use crate::observer::{LeaderCounter, NoObserver, StepObserver};
-use crate::protocol::{LeaderElection, Protocol};
+use crate::protocol::{LeaderElection, OracleCounts, Protocol};
 use crate::schedule::{Interaction, InteractionSeq};
 use crate::scheduler::RandomScheduler;
 use crate::stats::RunStats;
@@ -38,10 +38,23 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
     stats: RunStats,
     trace: Trace,
     /// Cached `protocol.uses_oracle()` (behind [`Protocol::HAS_ENVIRONMENT`]):
-    /// whether the per-step environment hook must run.  Computed once at
-    /// construction so the hot loop never pays the (virtual, under erasure)
-    /// `uses_oracle` call.
+    /// whether the oracle's bookkeeping must run around each step.  Computed
+    /// once at construction so the hot loop never pays the (virtual, under
+    /// erasure) `uses_oracle` call.
     env_active: bool,
+    /// The oracle's running counts (meaningful only when `env_active`).
+    oracle: OracleCache,
+}
+
+/// The incremental oracle's state: the counts summed over every agent, and
+/// whether an out-of-band write may have invalidated them.
+#[derive(Clone, Copy, Debug)]
+struct OracleCache {
+    counts: OracleCounts,
+    /// Set by every out-of-band write ([`Simulation::config_mut`],
+    /// [`Simulation::resize`], a [`StepObserver::REWRITES_STATES`]
+    /// observer); the next step re-tallies before planning.
+    stale: bool,
 }
 
 impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
@@ -66,10 +79,9 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// # Panics
     ///
     /// Panics if the protocol reports [`Protocol::uses_oracle`] without its
-    /// type setting [`Protocol::HAS_ENVIRONMENT`]: the environment hook
-    /// would be compiled out of the step loop and the oracle silently never
-    /// invoked, which is a bug in the protocol implementation, not a
-    /// runtime condition.
+    /// type setting [`Protocol::HAS_ENVIRONMENT`]: the oracle would be
+    /// compiled out of the step loop and silently never consulted, which is
+    /// a bug in the protocol implementation, not a runtime condition.
     pub fn try_new(
         protocol: P,
         graph: G,
@@ -85,7 +97,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         assert!(
             P::HAS_ENVIRONMENT || !protocol.uses_oracle(),
             "protocol {:?} reports uses_oracle() but its type does not set \
-             Protocol::HAS_ENVIRONMENT, so its environment hook would never run",
+             Protocol::HAS_ENVIRONMENT, so its oracle would never run",
             protocol.name()
         );
         let n = graph.num_agents();
@@ -99,14 +111,20 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             stats: RunStats::new(n),
             trace: Trace::disabled(),
             env_active,
+            oracle: OracleCache {
+                counts: OracleCounts::default(),
+                stale: true,
+            },
         })
     }
 
-    /// `true` if the per-step environment (oracle) hook is active for this
-    /// run — i.e. the protocol declared [`Protocol::HAS_ENVIRONMENT`] and
-    /// reports [`Protocol::uses_oracle`].  When `false`, interactions are
-    /// the only thing mutating states, which is what makes incremental
-    /// observers ([`crate::observer`]) sound.
+    /// `true` if the oracle is active for this run — i.e. the protocol
+    /// declared [`Protocol::HAS_ENVIRONMENT`] and reports
+    /// [`Protocol::uses_oracle`].  When `false`, interactions are the only
+    /// thing mutating states.  When `true`, an oracle broadcast may rewrite
+    /// any agent before a step, though never its output
+    /// ([`Protocol::oracle_count`]), so leader observers stay sound but
+    /// whole-state digests ([`crate::recurrence`]) do not.
     pub fn environment_active(&self) -> bool {
         self.env_active
     }
@@ -128,7 +146,9 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
 
     /// Mutable access to the current configuration (used by fault injection
     /// and by tests that construct specific intermediate configurations).
+    /// The oracle, if any, re-tallies its counts before the next step.
     pub fn config_mut(&mut self) -> &mut Configuration<P::State> {
+        self.oracle.stale = true;
         &mut self.config
     }
 
@@ -170,6 +190,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         self.stats.resize(config.len());
         self.graph = graph;
         self.config = config;
+        self.oracle.stale = true;
         Ok(())
     }
 
@@ -237,10 +258,12 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             "interaction {interaction} out of range for population of {}",
             self.config.len()
         );
-        // Environment hook (oracles).  Compiled out entirely for pure
-        // protocol types; one predicted branch for erased ones.
-        if P::HAS_ENVIRONMENT && self.env_active {
-            self.protocol.environment(self.config.states_mut());
+        // The oracle's environment step, from its running counts.
+        // Compiled out entirely for pure protocol types; one predicted
+        // branch for erased ones.
+        let oracle = P::HAS_ENVIRONMENT && self.env_active;
+        if oracle {
+            self.oracle_step();
         }
 
         // Split-borrow the two interacting states.
@@ -253,7 +276,14 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             (&mut hi[0], &mut lo[j])
         };
         observer.pre_interaction(&self.protocol, interaction, a, b);
-        self.protocol.interact(a, b);
+        if oracle {
+            let before = self.protocol.oracle_count(a) + self.protocol.oracle_count(b);
+            self.protocol.interact(a, b);
+            let after = self.protocol.oracle_count(a) + self.protocol.oracle_count(b);
+            self.oracle.counts = self.oracle.counts + after - before;
+        } else {
+            self.protocol.interact(a, b);
+        }
         observer.post_interaction(&self.protocol, interaction, a, b);
 
         self.stats.record_interaction(i, j);
@@ -262,6 +292,41 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             interaction,
         });
         self.steps += 1;
+    }
+
+    /// The oracle's environment step before an interaction: re-tally if an
+    /// out-of-band write made the counts stale, then broadcast if the plan
+    /// says a broadcast would change anything.  Each of the two is one O(n)
+    /// pass, counted in [`RunStats::oracle_passes`]; a step that needs
+    /// neither costs one plan check.
+    #[inline]
+    fn oracle_step(&mut self) {
+        if self.oracle.stale {
+            self.oracle_retally();
+        }
+        if self
+            .protocol
+            .oracle_due(&self.oracle.counts, self.config.len())
+        {
+            self.oracle_broadcast();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn oracle_retally(&mut self) {
+        self.oracle.counts = OracleCounts::tally(&self.protocol, self.config.states());
+        self.oracle.stale = false;
+        self.stats.record_oracle_pass();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn oracle_broadcast(&mut self) {
+        self.oracle
+            .counts
+            .broadcast(&self.protocol, self.config.states_mut());
+        self.stats.record_oracle_pass();
     }
 
     /// Runs exactly `k` steps under the uniformly random scheduler.
@@ -326,7 +391,11 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             }
             self.apply_observed(interaction, observer);
             done += 1;
-            if observer.after_step(&mut self.config, self.steps, &|| chooser.phase()) {
+            let halt = observer.after_step(&mut self.config, self.steps, &|| chooser.phase());
+            if O::REWRITES_STATES {
+                self.oracle.stale = true;
+            }
+            if halt {
                 halted = true;
                 break;
             }
@@ -456,16 +525,11 @@ where
     /// This powers the [`crate::convergence::StableOutputs`] estimator for
     /// baseline protocols without a structural safe-configuration checker.
     ///
-    /// For pure protocols an interaction can only change the leader bits of
-    /// the two touched agents, so changes are detected incrementally from a
-    /// [`LeaderCounter`] observer in O(1) per step (the old implementation
-    /// recomputed — and allocated — the full leader-index vector every
-    /// step).  Oracle protocols ([`Simulation::environment_active`]) can
-    /// mutate any agent per step and keep the O(n) recount path.
+    /// An interaction can only change the leader bits of the two touched
+    /// agents, and an oracle broadcast never changes any
+    /// ([`Protocol::oracle_count`]), so changes are detected incrementally
+    /// from a [`LeaderCounter`] observer in O(1) per step.
     pub fn run_tracking_leader_changes(&mut self, max_steps: u64) -> Vec<u64> {
-        if self.env_active {
-            return self.run_tracking_leader_changes_recount(max_steps);
-        }
         let mut changes = Vec::new();
         let mut counter = LeaderCounter::new(&self.protocol, self.config.states());
         for _ in 0..max_steps {
@@ -480,32 +544,6 @@ where
                         leaders,
                     });
                 }
-            }
-        }
-        changes
-    }
-
-    /// The O(n)-per-step fallback of
-    /// [`Simulation::run_tracking_leader_changes`], kept for oracle
-    /// protocols whose environment hook may silently retarget leadership
-    /// between interactions.
-    fn run_tracking_leader_changes_recount(&mut self, max_steps: u64) -> Vec<u64> {
-        let mut changes = Vec::new();
-        let mut current = self.protocol.leader_indices(self.config.states());
-        for _ in 0..max_steps {
-            self.step();
-            let now = self.protocol.leader_indices(self.config.states());
-            if now != current {
-                changes.push(self.steps);
-                // The clone of the index vector is only paid when the trace
-                // actually records it.
-                if self.trace.is_enabled() {
-                    self.trace.record(Event::LeaderSetChanged {
-                        step: self.steps,
-                        leaders: now.clone(),
-                    });
-                }
-                current = now;
             }
         }
         changes
@@ -640,14 +678,17 @@ mod tests {
     #[should_panic(expected = "HAS_ENVIRONMENT")]
     fn oracle_without_has_environment_is_rejected_at_construction() {
         /// Claims an oracle at runtime but forgot the compile-time opt-in:
-        /// its environment hook would silently never run.
+        /// its oracle would silently never run.
         #[derive(Clone, Debug)]
         struct Misconfigured;
         impl Protocol for Misconfigured {
             type State = bool;
             fn interact(&self, _i: &mut bool, _r: &mut bool) {}
-            fn environment(&self, states: &mut [bool]) {
-                states.fill(true);
+            fn oracle_due(&self, _counts: &OracleCounts, _n: usize) -> bool {
+                true
+            }
+            fn oracle_broadcast(&self, state: &mut bool, _counts: &OracleCounts) {
+                *state = true;
             }
             fn uses_oracle(&self) -> bool {
                 true

@@ -1,9 +1,9 @@
 //! Per-run statistics.
 //!
 //! [`RunStats`] accumulates cheap counters during an execution: total steps,
-//! per-agent interaction counts, and the derived *parallel time* (steps
+//! per-agent interaction counts, the derived *parallel time* (steps
 //! divided by `n`, the conventional unit in the population-protocol
-//! literature).
+//! literature), and the O(n) passes an oracle paid.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +14,7 @@ pub struct RunStats {
     interactions_per_agent: Vec<u64>,
     initiator_counts: Vec<u64>,
     responder_counts: Vec<u64>,
+    oracle_passes: u64,
 }
 
 impl RunStats {
@@ -24,6 +25,7 @@ impl RunStats {
             interactions_per_agent: vec![0; n],
             initiator_counts: vec![0; n],
             responder_counts: vec![0; n],
+            oracle_passes: 0,
         }
     }
 
@@ -34,6 +36,20 @@ impl RunStats {
         self.interactions_per_agent[responder] += 1;
         self.initiator_counts[initiator] += 1;
         self.responder_counts[responder] += 1;
+    }
+
+    /// Records one O(n) oracle pass (a re-tally or a broadcast).
+    pub fn record_oracle_pass(&mut self) {
+        self.oracle_passes += 1;
+        ssle_telemetry::metrics::well_known::ORACLE_PASSES.incr();
+    }
+
+    /// How many O(n) passes over the configuration the oracle paid: the
+    /// re-tallies after out-of-band writes plus the due broadcasts (see
+    /// [`crate::protocol::Protocol::oracle_count`]).  Always `0` for
+    /// protocols without an oracle.
+    pub fn oracle_passes(&self) -> u64 {
+        self.oracle_passes
     }
 
     /// Total number of steps (interactions) recorded.
@@ -103,6 +119,7 @@ impl RunStats {
     /// Resets all counters, keeping the population size.
     pub fn reset(&mut self) {
         self.steps = 0;
+        self.oracle_passes = 0;
         for v in [
             &mut self.interactions_per_agent,
             &mut self.initiator_counts,

@@ -270,6 +270,9 @@ pub mod well_known {
     pub static BYZANTINE_WINDOWS: Counter = Counter::new("byzantine_windows");
     /// Confirmed configuration recurrences.
     pub static RECURRENCES: Counter = Counter::new("recurrences");
+    /// O(n) oracle passes: re-tallies after out-of-band writes plus due
+    /// broadcasts (`RunStats::oracle_passes`, summed over runs).
+    pub static ORACLE_PASSES: Counter = Counter::new("oracle_passes");
     /// Annealing candidate evaluations.
     pub static SEARCH_EVALUATIONS: Counter = Counter::new("search_evaluations");
     /// Annealing moves accepted (Metropolis).
@@ -310,6 +313,7 @@ pub fn registry() -> Registry {
         &w::TRIGGERS_FIRED,
         &w::BYZANTINE_WINDOWS,
         &w::RECURRENCES,
+        &w::ORACLE_PASSES,
         &w::SEARCH_EVALUATIONS,
         &w::SEARCH_ACCEPTS,
         &w::SEARCH_REJECTS,
