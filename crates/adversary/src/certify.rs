@@ -61,9 +61,11 @@ pub struct CertifiedLivelock {
     pub entry_step: u64,
     /// Steps between the two confirmed visits.
     pub period: u64,
-    /// Position-salted digest of the recurrent configuration
-    /// ([`population::DynState::digest`] summed per
-    /// [`population::ConfigDigest`]).
+    /// Position-salted digest of the recurrent configuration: the wrapping
+    /// sum over agents `i` of [`population::DynState::digest`]`(i)`, FNV-1a
+    /// over `Debug` text and so stable across builds.  Computed once when the
+    /// recurrence is confirmed; detection itself matches on the cheaper
+    /// [`population::DynState::fingerprint`], never on this value.
     pub config_digest: u64,
     /// The scheduler phase (step counter modulo one rotation) at both
     /// visits and at the root of the closure walk.

@@ -174,7 +174,7 @@ impl Table1Visitor for MeasureVisitor {
     fn visit<P, F>(self, protocol: P, config: Configuration<P::State>, _stop: F) -> f64
     where
         P: LeaderElection + 'static,
-        P::State: std::any::Any,
+        P::State: population::SlotState,
         F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
     {
         let any_graph = self

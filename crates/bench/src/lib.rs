@@ -287,7 +287,7 @@ pub trait Table1Visitor {
     fn visit<P, F>(self, protocol: P, config: Configuration<P::State>, stop: F) -> Self::Output
     where
         P: population::LeaderElection + 'static,
-        P::State: std::any::Any,
+        P::State: population::SlotState,
         F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static;
 }
 

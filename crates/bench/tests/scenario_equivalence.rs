@@ -51,7 +51,7 @@ fn reference_trial(kind: ProtocolKind, n: usize, seed: u64) -> ConvergenceReport
         ) -> ConvergenceReport
         where
             P: LeaderElection + 'static,
-            P::State: std::any::Any,
+            P::State: population::SlotState,
             F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
         {
             let mut sim = Simulation::new(
@@ -222,7 +222,7 @@ fn boxed_trial<P, F>(
 ) -> (ConvergenceReport, Configuration<P::State>)
 where
     P: LeaderElection + 'static,
-    P::State: std::any::Any,
+    P::State: population::SlotState,
     F: Fn(&Configuration<P::State>) -> bool,
 {
     let n = config.len();
@@ -274,7 +274,7 @@ fn boxed_reference(
         ) -> (ConvergenceReport, bool)
         where
             P: LeaderElection + 'static,
-            P::State: std::any::Any,
+            P::State: population::SlotState,
             F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
         {
             let stop_protocol = protocol.clone();

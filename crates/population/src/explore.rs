@@ -24,29 +24,64 @@
 //!   scheduler from that configuration can ever converge — a certified
 //!   livelock, independent of the scheduler's internal randomness.
 //!
-//! Configurations are interned by their `Debug` rendering (NUL-separated per
-//! agent), which is injective for every `#[derive(Debug)]` state type — the
-//! same contract [`DynState::digest`] relies on.
+//! Both walks intern configurations into buckets keyed by their
+//! position-salted fingerprint sum (the value
+//! [`crate::recurrence::ConfigDigest`] maintains) and confirm membership with
+//! `==`, so the walk — ids, verdicts, counts — never depends on the hash
+//! function; a weak hasher only costs extra comparisons.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt::Write as _;
 
 use crate::config::Configuration;
 use crate::protocol::Protocol;
+use crate::recurrence::config_fingerprint;
 use crate::scenario::DynProtocol;
 use crate::schedule::Interaction;
 use crate::slot::DynState;
 
-/// Exact interning key of a configuration: the NUL-separated `Debug`
-/// renderings of its states.  Injective whenever the state's `Debug` output
-/// is (every derived `Debug` qualifies).
-fn config_key(config: &Configuration<DynState>) -> String {
-    let mut key = String::new();
-    for state in config.states() {
-        write!(key, "{state:?}\u{0}").expect("writing to a String cannot fail");
+/// Interned configurations, numbered in insertion order.  Each
+/// fingerprint bucket is an intrusive chain through `next`, so a bucket
+/// costs no allocation of its own.
+#[derive(Default)]
+struct Interner {
+    configs: Vec<Configuration<DynState>>,
+    /// The configuration fingerprint of each id.
+    fingerprints: Vec<u64>,
+    /// The latest id interned under each fingerprint.
+    heads: HashMap<u64, usize>,
+    /// The previous id in the same bucket, `usize::MAX` at the chain's end.
+    next: Vec<usize>,
+}
+
+impl Interner {
+    /// The id of `config`, whose fingerprint is `fingerprint`: the existing
+    /// one (`Ok`) or, if it is new, the id it would get (`Err`) — call
+    /// [`Interner::push`] to take it.
+    fn find(&self, config: &Configuration<DynState>, fingerprint: u64) -> Result<usize, usize> {
+        let mut at = self.heads.get(&fingerprint).copied().unwrap_or(usize::MAX);
+        while at != usize::MAX {
+            if &self.configs[at] == config {
+                return Ok(at);
+            }
+            ssle_telemetry::metrics::well_known::RECURRENCE_FALSE_MATCHES.incr();
+            at = self.next[at];
+        }
+        Err(self.configs.len())
     }
-    key
+
+    /// Interns a configuration [`Interner::find`] reported new.
+    fn push(&mut self, config: Configuration<DynState>, fingerprint: u64) {
+        let id = self.configs.len();
+        let previous = self.heads.insert(fingerprint, id);
+        self.next.push(previous.unwrap_or(usize::MAX));
+        self.fingerprints.push(fingerprint);
+        self.configs.push(config);
+    }
+
+    fn len(&self) -> usize {
+        self.configs.len()
+    }
 }
 
 /// Applies one interaction arc to a copy of `config` and returns the
@@ -144,9 +179,8 @@ pub fn explore(
     stop: &mut dyn FnMut(&[DynState]) -> bool,
     limits: &ExploreLimits,
 ) -> Explored {
-    let mut configs = vec![init.clone()];
-    let mut index = HashMap::new();
-    index.insert(config_key(init), 0usize);
+    let mut interner = Interner::default();
+    interner.push(init.clone(), config_fingerprint(init.states()));
     let mut is_stop = vec![stop(init.states())];
     // parent[id] = (predecessor id, arc) along a BFS-shortest path from the
     // initial configuration; preds[id] = every one-step predecessor.
@@ -154,20 +188,19 @@ pub fn explore(
     let mut preds: Vec<Vec<usize>> = vec![Vec::new()];
     let mut truncated = false;
     let mut cursor = 0usize;
-    'bfs: while cursor < configs.len() {
+    'bfs: while cursor < interner.len() {
         for &arc in arcs {
-            let next = apply_arc(protocol, &configs[cursor], arc);
-            let nid = match index.entry(config_key(&next)) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    if configs.len() >= limits.max_configs {
+            let next = apply_arc(protocol, &interner.configs[cursor], arc);
+            let fingerprint = config_fingerprint(next.states());
+            let nid = match interner.find(&next, fingerprint) {
+                Ok(nid) => nid,
+                Err(nid) => {
+                    if nid >= limits.max_configs {
                         truncated = true;
                         break 'bfs;
                     }
-                    let nid = configs.len();
-                    entry.insert(nid);
                     is_stop.push(stop(next.states()));
-                    configs.push(next);
+                    interner.push(next, fingerprint);
                     parent.push(Some((cursor, arc)));
                     preds.push(Vec::new());
                     nid
@@ -177,7 +210,7 @@ pub fn explore(
         }
         cursor += 1;
     }
-    let reachable = configs.len();
+    let reachable = interner.len();
     let stop_configs = is_stop.iter().filter(|&&s| s).count();
     if truncated {
         return Explored {
@@ -234,7 +267,7 @@ pub fn explore(
         stop_configs,
         verdict: ExploreVerdict::Stabilizes {
             exact_worst_steps,
-            worst_config: configs[worst_id].clone(),
+            worst_config: interner.configs[worst_id].clone(),
         },
     }
 }
@@ -433,44 +466,10 @@ pub fn phase_closure(
 ) -> ClosureOutcome {
     let rotation = phases.rotation();
     let start_phase = start_phase % rotation;
-    let mut configs: Vec<Configuration<DynState>> = Vec::new();
-    let mut is_stop: Vec<bool> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-
-    /// Interns `config`, evaluating `stop` once per new configuration;
-    /// `None` when the configuration cap would be exceeded.
-    fn intern(
-        config: Configuration<DynState>,
-        configs: &mut Vec<Configuration<DynState>>,
-        is_stop: &mut Vec<bool>,
-        index: &mut HashMap<String, usize>,
-        stop: &mut dyn FnMut(&[DynState]) -> bool,
-        max_configs: usize,
-    ) -> Option<usize> {
-        match index.entry(config_key(&config)) {
-            Entry::Occupied(entry) => Some(*entry.get()),
-            Entry::Vacant(entry) => {
-                if configs.len() >= max_configs {
-                    return None;
-                }
-                let id = configs.len();
-                entry.insert(id);
-                is_stop.push(stop(config.states()));
-                configs.push(config);
-                Some(id)
-            }
-        }
-    }
-
-    let start_id = intern(
-        start.clone(),
-        &mut configs,
-        &mut is_stop,
-        &mut index,
-        stop,
-        limits.max_configs,
-    )
-    .expect("the first configuration always fits");
+    let mut interner = Interner::default();
+    interner.push(start.clone(), config_fingerprint(start.states()));
+    let mut is_stop = vec![stop(start.states())];
+    let start_id = 0;
     let mut visited = VisitedNodes::new(rotation);
     let mut queue: VecDeque<(usize, u64)> = VecDeque::new();
     visited.insert(start_id, start_phase);
@@ -479,7 +478,7 @@ pub fn phase_closure(
         return ClosureOutcome {
             closed: true,
             stop_free: false,
-            configs: configs.len(),
+            configs: interner.len(),
             nodes: visited.len(),
         };
     }
@@ -489,7 +488,9 @@ pub fn phase_closure(
     // data.  An arc whose interaction leaves both endpoints unchanged
     // contributes the configuration itself, detected on copies of the two
     // endpoint slots without cloning or interning anything — on a near-fixed
-    // orbit that shortcut covers almost every arc.
+    // orbit that shortcut covers almost every arc.  Otherwise the
+    // successor's fingerprint is the parent's with the two endpoint terms
+    // swapped, O(1) in the population size.
     let mut successors: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
     let mut closed = true;
     'walk: while let Some((cid, phase)) = queue.pop_front() {
@@ -506,28 +507,32 @@ pub fn phase_closure(
                 }
                 for &arc in &phases.groups()[group] {
                     let (i, j) = (arc.initiator().index(), arc.responder().index());
-                    let states = configs[cid].states();
+                    let states = interner.configs[cid].states();
                     let mut initiator = states[i].clone();
                     let mut responder = states[j].clone();
                     protocol.interact(&mut initiator, &mut responder);
                     let nid = if initiator == states[i] && responder == states[j] {
                         cid
                     } else {
-                        let mut next = configs[cid].clone();
+                        let (si, sj) = (i as u64, j as u64);
+                        let fingerprint = interner.fingerprints[cid]
+                            .wrapping_sub(states[i].fingerprint(si))
+                            .wrapping_sub(states[j].fingerprint(sj))
+                            .wrapping_add(initiator.fingerprint(si))
+                            .wrapping_add(responder.fingerprint(sj));
+                        let mut next = interner.configs[cid].clone();
                         next.states_mut()[i] = initiator;
                         next.states_mut()[j] = responder;
-                        match intern(
-                            next,
-                            &mut configs,
-                            &mut is_stop,
-                            &mut index,
-                            stop,
-                            limits.max_configs,
-                        ) {
-                            Some(nid) => nid,
-                            None => {
-                                closed = false;
-                                break 'walk;
+                        match interner.find(&next, fingerprint) {
+                            Ok(nid) => nid,
+                            Err(nid) => {
+                                if nid >= limits.max_configs {
+                                    closed = false;
+                                    break 'walk;
+                                }
+                                is_stop.push(stop(next.states()));
+                                interner.push(next, fingerprint);
+                                nid
                             }
                         }
                     };
@@ -535,7 +540,7 @@ pub fn phase_closure(
                         return ClosureOutcome {
                             closed: true,
                             stop_free: false,
-                            configs: configs.len(),
+                            configs: interner.len(),
                             nodes: visited.len(),
                         };
                     }
@@ -559,7 +564,7 @@ pub fn phase_closure(
     ClosureOutcome {
         closed,
         stop_free: true,
-        configs: configs.len(),
+        configs: interner.len(),
         nodes: visited.len(),
     }
 }

@@ -119,7 +119,7 @@ pub mod prelude {
         downcast_config, AnyGraph, ByzantineWindow, ChurnEvent, ChurnKind, ChurnPlan, DetectedRun,
         DynLeaderElection, DynProtocol, DynScheduler, DynState, DynStop, FaultEvent, FaultPlan,
         GraphFamily, PreparedScenario, Scenario, ScenarioBuilder, ScenarioRun, SchedulerFamily,
-        TriggeredFault,
+        SlotState, TriggeredFault,
     };
     pub use crate::schedule::{Interaction, InteractionSeq};
     pub use crate::scheduler::{

@@ -27,7 +27,7 @@
 //! rewrite any agent before a step, but by the oracle hooks' contract
 //! ([`Protocol::oracle_count`]) never its output, so [`LeaderCounter`]
 //! stays exact for oracle protocols too; observers of whole states (the
-//! configuration digest of [`crate::recurrence`]) are disabled for them
+//! configuration fingerprint of [`crate::recurrence`]) are disabled for them
 //! (see [`crate::simulation::Simulation::environment_active`]).
 
 use crate::config::Configuration;

@@ -4,17 +4,25 @@
 //! about a censored cell; this module upgrades that to a checked statement.
 //! Two pieces cooperate:
 //!
-//! * [`ConfigDigest`] — a [`StepObserver`] that maintains a canonical 64-bit
-//!   digest of the whole configuration **incrementally**: each interaction
-//!   touches two agents, so the observer subtracts their position-salted
-//!   [`DynState::digest`]s before the transition and adds them back after,
-//!   keeping the per-step cost O(1) in the population size.
+//! * [`ConfigDigest`] — a [`StepObserver`] that maintains a 64-bit
+//!   fingerprint of the whole configuration **incrementally**: each
+//!   interaction touches two agents, so the observer subtracts their
+//!   position-salted [`DynState::fingerprint`]s before the transition and
+//!   adds them back after, keeping the per-step cost O(1) in the population
+//!   size (four derived-`Hash` passes over small states, no formatting).
 //! * [`RecurrenceDetector`] — a Brent-style cycle finder over the stream of
-//!   (digest, scheduler phase) pairs.  It snapshots the configuration when
-//!   its internal step counter is a power of two and compares every later
-//!   step against the snapshot; a digest + phase match is then **confirmed**
-//!   by comparing the configurations themselves, so hash collisions can
-//!   never produce a false [`RecurrenceCandidate`].
+//!   (fingerprint, scheduler phase) pairs.  It snapshots the configuration
+//!   when its internal step counter is a power of two and compares every
+//!   later step against the snapshot; a fingerprint + phase match is then
+//!   **confirmed** by comparing the configurations themselves, so hash
+//!   collisions can never produce a false [`RecurrenceCandidate`] — and no
+//!   outcome depends on the hash function.  Rejected matches are counted by
+//!   the `recurrence_false_matches` telemetry counter.
+//!
+//! The confirmed candidate carries [`RecurrenceCandidate::config_digest`]:
+//! the position-salted sum of the certificate-grade [`DynState::digest`]
+//! (FNV-1a over `Debug` text, stable across builds) over the recurrent
+//! configuration.  It is computed once per confirmation, never per step.
 //!
 //! A confirmed recurrence says: the run revisited an earlier configuration
 //! with the scheduler in the same deterministic phase.  For schedulers that
@@ -31,14 +39,39 @@ use crate::protocol::Protocol;
 use crate::schedule::Interaction;
 use crate::slot::DynState;
 
-/// Incrementally maintained canonical digest of an erased configuration: the
-/// wrapping sum over all agents of the position-salted [`DynState::digest`].
+/// The wrapping sum over all agents of the position-salted
+/// [`DynState::fingerprint`]: the value [`ConfigDigest`] maintains, and the
+/// interning key of [`crate::explore`].  Equal configurations always have
+/// equal fingerprints; a match is confirmed with `==`.
+pub(crate) fn config_fingerprint(states: &[DynState]) -> u64 {
+    states
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.fingerprint(i as u64))
+        .fold(0u64, u64::wrapping_add)
+}
+
+/// The certificate digest of a configuration: the wrapping sum over all
+/// agents of the position-salted [`DynState::digest`] — the value
+/// [`RecurrenceCandidate::config_digest`] carries.  It formats every state,
+/// so it is computed once per certificate, never per step.
+fn config_digest(states: &[DynState]) -> u64 {
+    states
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.digest(i as u64))
+        .fold(0u64, u64::wrapping_add)
+}
+
+/// Incrementally maintained fingerprint of an erased configuration: the
+/// wrapping sum over all agents of the position-salted
+/// [`DynState::fingerprint`].
 ///
 /// The sum is order-sensitive through the salt (agent `i` contributes
-/// `digest(state_i, i)`), so permuting two distinct states changes the
+/// `fingerprint(state_i, i)`), so permuting two distinct states changes the
 /// value, yet any single-agent update is an O(1) subtract/add.  Equal
-/// configurations always produce equal digests; unequal ones may collide,
-/// so a digest match is a candidate only — confirm with `==`.
+/// configurations always produce equal values; unequal ones may collide,
+/// so a match is a candidate only — confirm with `==`.
 ///
 /// As a [`StepObserver`] this is only sound for **pure** protocols: an
 /// oracle broadcast rewrites states out-of-band before `pre_interaction`
@@ -55,24 +88,20 @@ pub struct ConfigDigest {
 }
 
 impl ConfigDigest {
-    /// Seeds the digest from a full configuration scan.
+    /// Seeds the fingerprint from a full configuration scan.
     pub fn new(states: &[DynState]) -> Self {
         let mut digest = ConfigDigest { sum: 0, pre: 0 };
         digest.resync(states);
         digest
     }
 
-    /// Recomputes the digest from scratch — required after states change
-    /// outside the observed interaction path (fault injection).
+    /// Recomputes the fingerprint from scratch — required after states
+    /// change outside the observed interaction path (fault injection).
     pub fn resync(&mut self, states: &[DynState]) {
-        self.sum = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.digest(i as u64))
-            .fold(0u64, u64::wrapping_add);
+        self.sum = config_fingerprint(states);
     }
 
-    /// The current configuration digest.
+    /// The current configuration fingerprint.
     pub fn value(&self) -> u64 {
         self.sum
     }
@@ -90,8 +119,8 @@ where
         responder: &DynState,
     ) {
         self.pre = initiator
-            .digest(interaction.initiator().index() as u64)
-            .wrapping_add(responder.digest(interaction.responder().index() as u64));
+            .fingerprint(interaction.initiator().index() as u64)
+            .wrapping_add(responder.fingerprint(interaction.responder().index() as u64));
     }
 
     fn post_interaction(
@@ -102,8 +131,8 @@ where
         responder: &DynState,
     ) {
         let post = initiator
-            .digest(interaction.initiator().index() as u64)
-            .wrapping_add(responder.digest(interaction.responder().index() as u64));
+            .fingerprint(interaction.initiator().index() as u64)
+            .wrapping_add(responder.fingerprint(interaction.responder().index() as u64));
         self.sum = self.sum.wrapping_sub(self.pre).wrapping_add(post);
     }
 }
@@ -121,7 +150,9 @@ pub struct RecurrenceCandidate {
     pub entry_step: u64,
     /// Steps between the snapshot and the confirmed revisit.
     pub period: u64,
-    /// The configuration digest at both visits.
+    /// The certificate digest of the recurrent configuration: the wrapping
+    /// sum over agents `i` of [`DynState::digest`]`(i)`, computed once at
+    /// confirmation.
     pub config_digest: u64,
     /// The scheduler phase at both visits (`None` for memoryless
     /// schedulers).
@@ -137,12 +168,12 @@ struct Snapshot {
     t: u64,
     /// Simulation step at snapshot time.
     step: u64,
-    digest: u64,
+    fingerprint: u64,
     phase: Option<u64>,
     config: Configuration<DynState>,
 }
 
-/// Brent-style cycle finder over the (digest, phase) stream of a run.
+/// Brent-style cycle finder over the (fingerprint, phase) stream of a run.
 ///
 /// The detector keeps exactly **one** configuration snapshot, re-taken
 /// whenever its internal step counter is a power of two.  Every observed
@@ -174,37 +205,40 @@ impl RecurrenceDetector {
         self.t = 0;
     }
 
-    /// Observes the configuration after one step: `digest` and `phase` are
-    /// the cheap per-step fingerprint, `step` is the simulation step count,
-    /// and `config` is only inspected (and cloned) when the fingerprint
-    /// matches the snapshot or a new snapshot is due.
+    /// Observes the configuration after one step: `fingerprint` and `phase`
+    /// are the cheap per-step key, `step` is the simulation step count, and
+    /// `config` is only inspected (and cloned) when the key matches the
+    /// snapshot or a new snapshot is due.
     ///
     /// Returns a confirmed recurrence the first time the configuration
     /// provably repeats at the same phase.
     pub fn observe(
         &mut self,
-        digest: u64,
+        fingerprint: u64,
         phase: Option<u64>,
         step: u64,
         config: &Configuration<DynState>,
     ) -> Option<RecurrenceCandidate> {
         self.t += 1;
         if let Some(snap) = &self.snapshot {
-            if snap.digest == digest && snap.phase == phase && &snap.config == config {
-                return Some(RecurrenceCandidate {
-                    entry_step: snap.step,
-                    period: self.t - snap.t,
-                    config_digest: digest,
-                    phase,
-                    config: snap.config.clone(),
-                });
+            if snap.fingerprint == fingerprint && snap.phase == phase {
+                if &snap.config == config {
+                    return Some(RecurrenceCandidate {
+                        entry_step: snap.step,
+                        period: self.t - snap.t,
+                        config_digest: config_digest(snap.config.states()),
+                        phase,
+                        config: snap.config.clone(),
+                    });
+                }
+                ssle_telemetry::metrics::well_known::RECURRENCE_FALSE_MATCHES.incr();
             }
         }
         if self.t.is_power_of_two() {
             self.snapshot = Some(Snapshot {
                 t: self.t,
                 step,
-                digest,
+                fingerprint,
                 phase,
                 config: config.clone(),
             });

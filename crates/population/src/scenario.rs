@@ -72,7 +72,6 @@
 //! assert!(summaries.iter().all(|s| s.converged_fraction() == 1.0));
 //! ```
 
-use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -186,7 +185,7 @@ fn downcast_state_mut<'a, S: SlotState>(state: &'a mut DynState, name: &str) -> 
 impl<P> DynLeaderElection for ErasedLe<P>
 where
     P: LeaderElection + 'static,
-    P::State: Any,
+    P::State: SlotState,
 {
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
         let (i, r) = downcast_pair::<P::State>(initiator, responder, self.0.name());
@@ -225,7 +224,7 @@ where
 impl<P> DynLeaderElection for ErasedPlain<P>
 where
     P: Protocol + 'static,
-    P::State: Any,
+    P::State: SlotState,
 {
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
         let (i, r) = downcast_pair::<P::State>(initiator, responder, self.0.name());
@@ -273,7 +272,7 @@ impl DynProtocol {
     pub fn erase<P>(protocol: P) -> Self
     where
         P: LeaderElection + 'static,
-        P::State: Any,
+        P::State: SlotState,
     {
         DynProtocol {
             inner: Arc::new(ErasedLe(protocol)),
@@ -285,7 +284,7 @@ impl DynProtocol {
     pub fn erase_protocol<P>(protocol: P) -> Self
     where
         P: Protocol + 'static,
-        P::State: Any,
+        P::State: SlotState,
     {
         DynProtocol {
             inner: Arc::new(ErasedPlain(protocol)),
@@ -1599,7 +1598,7 @@ impl Scenario {
     /// The run has exactly the semantics of [`Scenario::try_run_full`] — the
     /// same scheduler choices, RNG stream, fault events and stop-check
     /// boundaries — except that every step additionally feeds an incremental
-    /// configuration digest into a Brent-schedule [`RecurrenceDetector`].
+    /// configuration fingerprint into a Brent-schedule [`RecurrenceDetector`].
     /// When a configuration provably repeats at the same scheduler
     /// [`DynScheduler::phase`], the run aborts early and the confirmed
     /// [`RecurrenceCandidate`] is returned alongside the (unconverged)
@@ -1620,7 +1619,7 @@ impl Scenario {
     /// [`DynScheduler::phase`]: memoryless schedulers revisit configurations
     /// by chance at almost every step (any interaction that changes no state
     /// is a period-1 "recurrence"), so a candidate would be meaningless
-    /// there.  For oracle protocols the digest cannot be maintained
+    /// there.  For oracle protocols the fingerprint cannot be maintained
     /// incrementally (a broadcast rewrites any agent), so detection is
     /// likewise disabled.  In both
     /// cases `recurrence` is always `None` and the run itself is unaffected.
@@ -1631,7 +1630,7 @@ impl Scenario {
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
         let mut run = self.start(point)?;
         // Detection needs two preconditions.  An oracle broadcast rewrites
-        // states out-of-band inside a step, so the incremental digest is
+        // states out-of-band inside a step, so the incremental fingerprint is
         // only sound for pure protocols.  And a memoryless scheduler
         // (phase `None`, the uniform sampler included) revisits
         // configurations by chance constantly — every interaction that
@@ -2335,9 +2334,9 @@ impl Hook for LeaderCounter {
     }
 }
 
-/// The hook of detecting runs: an incremental [`ConfigDigest`] feeding a
-/// [`RecurrenceDetector`] after every step, halting the run at the first
-/// confirmed recurrence.
+/// The hook of detecting runs: an incremental [`ConfigDigest`] fingerprint
+/// feeding a [`RecurrenceDetector`] after every step, halting the run at
+/// the first confirmed recurrence.
 struct Detection {
     digest: ConfigDigest,
     detector: RecurrenceDetector,
@@ -2488,7 +2487,7 @@ impl StepObserver<DynProtocol> for Byzantine<'_> {
 /// ```
 pub struct ScenarioBuilder<P: Protocol + 'static>
 where
-    P::State: Any,
+    P::State: SlotState,
 {
     name: String,
     graph: GraphFamily,
@@ -2523,7 +2522,7 @@ where
 
 impl<P: Protocol + 'static> fmt::Debug for ScenarioBuilder<P>
 where
-    P::State: Any,
+    P::State: SlotState,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScenarioBuilder")
@@ -2536,7 +2535,7 @@ where
 impl<P> ScenarioBuilder<P>
 where
     P: LeaderElection + 'static,
-    P::State: Any,
+    P::State: SlotState,
 {
     /// Starts a scenario around a leader-election protocol factory.
     pub fn new(
@@ -2550,7 +2549,7 @@ where
 impl<P> ScenarioBuilder<P>
 where
     P: Protocol + 'static,
-    P::State: Any,
+    P::State: SlotState,
 {
     /// Starts a scenario around a protocol without a leader output (ring
     /// orientation, colouring, …).
@@ -2882,7 +2881,7 @@ where
 /// (re)built from scratch only when the population size changes.
 fn sync_typed_scratch<P: Protocol>(scratch: &mut Vec<P::State>, states: &[DynState], name: &str)
 where
-    P::State: Any,
+    P::State: SlotState,
 {
     if scratch.len() == states.len() {
         for (slot, s) in scratch.iter_mut().zip(states) {
@@ -2928,7 +2927,7 @@ mod tests {
     /// initiators.
     #[derive(Clone, Debug)]
     struct OracleSpawner;
-    #[derive(Clone, Copy, Debug, PartialEq)]
+    #[derive(Clone, Copy, Debug, PartialEq, Hash)]
     struct OracleState {
         leader: bool,
         no_leader: bool,

@@ -124,7 +124,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// thing mutating states.  When `true`, an oracle broadcast may rewrite
     /// any agent before a step, though never its output
     /// ([`Protocol::oracle_count`]), so leader observers stay sound but
-    /// whole-state digests ([`crate::recurrence`]) do not.
+    /// whole-state fingerprints ([`crate::recurrence`]) do not.
     pub fn environment_active(&self) -> bool {
         self.env_active
     }

@@ -18,9 +18,18 @@
 //! * oversized or over-aligned states transparently fall back to a boxed
 //!   representation behind the same API ([`DynState::is_inline`] tells which
 //!   path a value took, [`fits_inline`] decides per type at compile time);
-//! * per-type behaviour (clone/drop/eq/debug/type-identity) lives in a
+//! * per-type behaviour (clone/drop/eq/debug/hash/type-identity) lives in a
 //!   `&'static` ops table — a hand-rolled vtable — so `DynState` itself needs
 //!   no trait object.
+//!
+//! Two salted 64-bit hashes serve different readers.
+//! [`DynState::fingerprint`] feeds the state's derived `Hash` into one
+//! fixed, deterministic hasher: it is the cheap per-step key of recurrence
+//! detection and configuration interning, never persisted, and every match
+//! on it is confirmed with `==`.  [`DynState::digest`] streams the state's
+//! `Debug` text through FNV-1a: twenty to thirty times slower, but stable
+//! across builds, so it is the value written into livelock certificates
+//! and is computed once per certificate, never per step.
 //!
 //! Type identity is checked on every downcast exactly as `dyn Any` would:
 //! each `DynState` stores its `TypeId` by value, so the check is a
@@ -36,6 +45,7 @@
 
 use std::any::{Any, TypeId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem::{align_of, needs_drop, size_of, MaybeUninit};
 
 /// Number of bytes a state may occupy to be stored in-line.
@@ -59,12 +69,14 @@ pub const fn fits_inline<S>() -> bool {
 }
 
 /// The bounds a typed state must satisfy to be erased into a [`DynState`]:
-/// exactly the [`crate::protocol::Protocol::State`] bounds plus `'static`.
+/// the [`crate::protocol::Protocol::State`] bounds plus `Hash` (for
+/// [`DynState::fingerprint`]) and `'static`.  `Hash` must agree with `==`,
+/// as a derived `Hash` next to a derived `PartialEq` always does.
 ///
 /// Blanket-implemented; user code never implements it directly.
-pub trait SlotState: Any + Clone + PartialEq + fmt::Debug + Send + Sync {}
+pub trait SlotState: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync {}
 
-impl<S> SlotState for S where S: Any + Clone + PartialEq + fmt::Debug + Send + Sync {}
+impl<S> SlotState for S where S: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync {}
 
 /// Either the state value itself (inline) or a pointer to its heap box.
 ///
@@ -101,6 +113,9 @@ struct StateOps {
     /// FNV-1a digest of the stored value's `Debug` byte stream, salted.
     /// Safety: `storage` must hold a live value of this type.
     digest: unsafe fn(&Storage, u64) -> u64,
+    /// The stored value's `Hash` through the fixed fingerprint hasher,
+    /// salted.  Safety: `storage` must hold a live value of this type.
+    fingerprint: unsafe fn(&Storage, u64) -> u64,
 }
 
 /// Per-type ops-table factory: `&Ops::<S>::TABLE` is the promoted `'static`
@@ -116,6 +131,7 @@ impl<S: SlotState> Ops<S> {
         eq: eq_storage::<S>,
         debug: debug_storage::<S>,
         digest: digest_storage::<S>,
+        fingerprint: fingerprint_storage::<S>,
     };
 }
 
@@ -234,6 +250,79 @@ unsafe fn digest_storage<S: SlotState>(storage: &Storage, salt: u64) -> u64 {
     writer.hash
 }
 
+/// The fingerprint hasher: FxHash's rotate-xor-multiply step per written
+/// word — one multiply per field of a derived `Hash` — finished by the
+/// murmur3 avalanche, so every input bit reaches every output bit.  A
+/// fixed function: the same in every run and on every thread.  SipHash
+/// (`DefaultHasher`) pays its rounds per field write: about 150 ns for a
+/// 19-field `PplState` against about 20 ns here, and a detecting step
+/// fingerprints four states.
+struct FingerprintHasher(u64);
+
+impl FingerprintHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// Ops-table entry: fingerprint.  Safety contract as on
+/// [`StateOps::fingerprint`].
+unsafe fn fingerprint_storage<S: SlotState>(storage: &Storage, salt: u64) -> u64 {
+    let mut hasher = FingerprintHasher(0);
+    hasher.add(salt);
+    // SAFETY: the storage holds a live `S` per the contract.
+    unsafe { &*value_ptr::<S>(storage) }.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// A type-erased per-agent state with inline small-state storage.
 ///
 /// Satisfies the [`crate::protocol::Protocol::State`] bounds, so
@@ -310,9 +399,27 @@ impl DynState {
     /// `==` before trusting a match.  The digest is meaningful only when the
     /// state's `Debug` representation is injective, which every
     /// `#[derive(Debug)]` state satisfies.
+    ///
+    /// This is the certificate-grade hash: stable across builds and
+    /// toolchains, but it formats the whole state.  Per-step callers use
+    /// [`DynState::fingerprint`] instead.
     pub fn digest(&self, salt: u64) -> u64 {
         // SAFETY: the storage holds a live value of the ops table's type.
         unsafe { (self.ops.digest)(&self.storage, salt) }
+    }
+
+    /// A salted 64-bit fingerprint of the stored value: its derived `Hash`
+    /// fed, after the salt, into one fixed, deterministic hasher.
+    ///
+    /// Equal states always have equal fingerprints; unequal states *may*
+    /// collide, so a fingerprint match is a candidate only — callers confirm
+    /// it with `==`, and no outcome depends on the hash function.  Unlike
+    /// [`DynState::digest`] the value is not promised to survive a toolchain
+    /// change, so it is never persisted.
+    #[inline]
+    pub fn fingerprint(&self, salt: u64) -> u64 {
+        // SAFETY: the storage holds a live value of the ops table's type.
+        unsafe { (self.ops.fingerprint)(&self.storage, salt) }
     }
 
     /// Mutably borrows the underlying state if it has type `S`.
@@ -371,7 +478,7 @@ mod tests {
     use std::sync::Arc;
 
     /// A state that is far too big for the slot: exercises the boxed path.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     struct Big([u64; 16]);
 
     /// A small state with a non-trivial drop: exercises inline drop.
@@ -381,6 +488,12 @@ mod tests {
     impl PartialEq for Counting {
         fn eq(&self, other: &Self) -> bool {
             Arc::ptr_eq(&self.0, &other.0)
+        }
+    }
+
+    impl Hash for Counting {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            Arc::as_ptr(&self.0).hash(state);
         }
     }
 
@@ -429,6 +542,27 @@ mod tests {
         assert_ne!(
             DynState::new(big).digest(9),
             DynState::new(Big([4; 16])).digest(9)
+        );
+    }
+
+    #[test]
+    fn fingerprints_agree_for_equal_states_and_salt_is_load_bearing() {
+        // Inline path.
+        let a = DynState::new(42u32);
+        assert_eq!(a.fingerprint(7), a.clone().fingerprint(7));
+        assert_eq!(a.fingerprint(7), DynState::new(42u32).fingerprint(7));
+        assert_ne!(a.fingerprint(7), DynState::new(43u32).fingerprint(7));
+        assert_ne!(
+            a.fingerprint(0),
+            a.fingerprint(1),
+            "the salt must perturb the fingerprint"
+        );
+        // Boxed path.
+        let big = DynState::new(Big([3; 16]));
+        assert_eq!(big.fingerprint(9), big.clone().fingerprint(9));
+        assert_ne!(
+            big.fingerprint(9),
+            DynState::new(Big([4; 16])).fingerprint(9)
         );
     }
 
@@ -498,6 +632,9 @@ mod tests {
                 true
             }
         }
+        impl Hash for BigCounting {
+            fn hash<H: Hasher>(&self, _: &mut H) {}
+        }
         impl Drop for BigCounting {
             fn drop(&mut self) {
                 self.1.fetch_add(1, Ordering::SeqCst);
@@ -527,7 +664,7 @@ mod tests {
 
     #[test]
     fn over_aligned_states_fall_back_to_the_box() {
-        #[derive(Clone, Debug, PartialEq)]
+        #[derive(Clone, Debug, PartialEq, Hash)]
         #[repr(align(16))]
         struct Wide(u8);
         assert!(

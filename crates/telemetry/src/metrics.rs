@@ -270,6 +270,11 @@ pub mod well_known {
     pub static BYZANTINE_WINDOWS: Counter = Counter::new("byzantine_windows");
     /// Confirmed configuration recurrences.
     pub static RECURRENCES: Counter = Counter::new("recurrences");
+    /// Configuration fingerprint matches that the confirming `==` rejected
+    /// (recurrence detection and configuration interning).  Counted on the
+    /// cold path only, so a weak fingerprint hasher shows up here rather
+    /// than in wall time.
+    pub static RECURRENCE_FALSE_MATCHES: Counter = Counter::new("recurrence_false_matches");
     /// O(n) oracle passes: re-tallies after out-of-band writes plus due
     /// broadcasts (`RunStats::oracle_passes`, summed over runs).
     pub static ORACLE_PASSES: Counter = Counter::new("oracle_passes");
@@ -313,6 +318,7 @@ pub fn registry() -> Registry {
         &w::TRIGGERS_FIRED,
         &w::BYZANTINE_WINDOWS,
         &w::RECURRENCES,
+        &w::RECURRENCE_FALSE_MATCHES,
         &w::ORACLE_PASSES,
         &w::SEARCH_EVALUATIONS,
         &w::SEARCH_ACCEPTS,
