@@ -1,6 +1,5 @@
 //! Hot-loop bench report: measures the erased run path's steps/second for
-//! the four Table 1 protocols × {ring, complete} × n ∈ {256, 4096}, in both
-//! the inline-slot representation and the pre-inline boxed baseline, and
+//! the four Table 1 protocols × {ring, complete} × n ∈ {256, 4096} and
 //! writes the results to `BENCH_hotloop.json` (at the current directory —
 //! run from the repository root) so later changes have a perf trajectory.
 //!
@@ -12,35 +11,23 @@
 //!
 //! `--fabric N` runs the case grid across N worker subprocesses (this
 //! binary re-invoked with `--worker`) through the `ssle-fabric`
-//! coordinator, with crash retry and a content-addressed result cache
-//! under `.fabric-cache/`; `--resume` reuses cached cases.  Timings are
-//! wall-clock, so — unlike the stabilization report — a fabric run is
-//! *schema*-identical but not byte-identical to an in-process rerun; the
-//! cache is what makes interrupted measurement campaigns resumable.
-//!
-//! Flags:
-//!
-//! ```text
-//! --quick         reduced step count (CI smoke); same case grid and schema
-//! --fabric N      run the grid across N worker subprocesses
-//! --resume        with --fabric: reuse cached case results
-//! --cache-dir P   with --fabric: cache directory (default .fabric-cache)
-//! --worker        run as a fabric worker (stdin/stdout line protocol)
-//! --out PATH      output file (default: BENCH_hotloop.json)
-//! --json          also print the JSON document to stdout
-//! --telemetry     write an ssle-telemetry/v1 NDJSON trace alongside
-//! --telemetry-out trace file (implies --telemetry)
-//! --help          print usage
-//! ```
+//! coordinator, with crash retry and a content-addressed result cache;
+//! `--resume` reuses cached cases.  Timings are wall-clock, so — unlike the
+//! stabilization report — a fabric run is *schema*-identical but not
+//! byte-identical to an in-process rerun; the cache is what makes
+//! interrupted measurement campaigns resumable.  The flags, with their
+//! defaults, are listed once in `USAGE` (printed by `--help`).
 //!
 //! The binary self-validates: after writing, it re-reads the file, parses it
-//! with `analysis::json` and checks it against the `hotloop-bench/v1`
-//! schema, exiting non-zero on any mismatch.
+//! with `analysis::json` and checks it against the `hotloop-bench/v2`
+//! schema, exiting non-zero on any mismatch.  The markdown table it prints
+//! is rendered from that re-read document in both modes.
 
 use ssle_bench::fabric::{hotloop_handler, run_hotloop_fabric, FabricConfig};
 use ssle_bench::hotloop;
 use ssle_fabric::{worker_loop, WorkerCommand};
 
+/// Command-line help, printed by `--help` and after a bad flag.
 const USAGE: &str = "\
 options:
   --quick        reduced time budget (CI smoke); same case grid and schema
@@ -155,7 +142,7 @@ fn main() {
         })
     });
 
-    let (text, markdown, summary) = match args.fabric {
+    let (json, summary) = match args.fabric {
         None => {
             let report = hotloop::run(args.quick);
             let summary = format!(
@@ -163,11 +150,7 @@ fn main() {
                 report.cases.len(),
                 report.budget_secs
             );
-            (
-                report.to_json_value().to_json(),
-                report.to_markdown(),
-                summary,
-            )
+            (report.to_json_value(), summary)
         }
         Some(workers) => {
             let mut config = FabricConfig::new(workers, args.quick);
@@ -184,10 +167,10 @@ fn main() {
                     eprintln!("error: {e}");
                     std::process::exit(1);
                 });
-            let summary = format!("fabric: workers={workers} {stats}");
-            (json.to_json(), String::new(), summary)
+            (json, format!("fabric: workers={workers} {stats}"))
         }
     };
+    let text = json.to_json();
 
     if let Err(e) = std::fs::write(&out, &text) {
         eprintln!("error: cannot write {out}: {e}");
@@ -212,9 +195,7 @@ fn main() {
         "# Hot-loop throughput ({} mode)\n",
         if args.quick { "quick" } else { "full" }
     );
-    if !markdown.is_empty() {
-        println!("{markdown}");
-    }
+    println!("{}", hotloop::markdown_table(&parsed));
     println!("wrote {out} ({summary})");
     if args.json {
         println!("{text}");

@@ -27,7 +27,7 @@
 //! non-zero on any mismatch.
 
 use analysis::json::JsonValue;
-use ssle_bench::hotloop::{measure, HotloopGraph, Repr};
+use ssle_bench::hotloop::{measure, HotloopGraph};
 use ssle_bench::ProtocolKind;
 
 const USAGE: &str = "\
@@ -105,21 +105,9 @@ fn run_case(kind: ProtocolKind, n: usize, budget_secs: f64) -> CaseOutcome {
     let mut enabled = 0.0f64;
     for _ in 0..REPETITIONS {
         ssle_telemetry::set_enabled(false);
-        disabled = disabled.max(measure(
-            kind,
-            HotloopGraph::Ring,
-            n,
-            Repr::Inline,
-            budget_secs,
-        ));
+        disabled = disabled.max(measure(kind, HotloopGraph::Ring, n, budget_secs));
         ssle_telemetry::set_enabled(true);
-        enabled = enabled.max(measure(
-            kind,
-            HotloopGraph::Ring,
-            n,
-            Repr::Inline,
-            budget_secs,
-        ));
+        enabled = enabled.max(measure(kind, HotloopGraph::Ring, n, budget_secs));
         ssle_telemetry::set_enabled(false);
     }
     // The enabled passes counted hot-loop steps; drop them so a later sink

@@ -643,4 +643,23 @@ mod tests {
         let full = hotloop_units(false);
         assert_ne!(units[0].cache_key(), full[0].cache_key());
     }
+
+    /// The hot-loop specs carry the v2 schema tag, so a case cached by a v1
+    /// build (whose payload still has the boxed-baseline columns) has a
+    /// different content address and is never reused by `--resume`.
+    #[test]
+    fn hotloop_units_never_hit_a_v1_cache_entry() {
+        for unit in hotloop_units(true) {
+            assert_eq!(
+                unit.spec.get("schema").and_then(JsonValue::as_str),
+                Some("hotloop-bench/v2")
+            );
+            let mut v1_spec = JsonValue::object().with("schema", "hotloop-bench/v1");
+            for key in ["protocol", "graph", "n", "quick"] {
+                v1_spec = v1_spec.with(key, unit.spec.get(key).expect("spec key").clone());
+            }
+            let v1 = WorkUnit::new(unit.seq, HOTLOOP_JOB, v1_spec);
+            assert_ne!(unit.cache_key(), v1.cache_key());
+        }
+    }
 }

@@ -1,26 +1,15 @@
-//! Hot-loop throughput measurement with a tracked baseline.
+//! Hot-loop throughput measurement.
 //!
 //! Everything in this workspace runs through the erased
-//! `Simulation<DynProtocol, AnyGraph>` path, so its raw steps/second is the
-//! throughput ceiling of the whole reproduction.  This module measures it —
+//! `Simulation<DynProtocol, AnyGraph>` path with inline-slot
+//! [`population::slot::DynState`]s, so its raw steps/second is the
+//! throughput ceiling of the whole reproduction.  This module measures it
 //! for the four Table 1 protocols, on the directed ring and the complete
-//! graph, at `n ∈ {256, 4096}` — in three erased representations:
-//!
-//! * `inline` — the production path: [`population::slot::DynState`] inline
-//!   slots, one contiguous buffer;
-//! * `boxed` — the pre-inline baseline preserved in
-//!   [`crate::baseline_boxed`] (one heap box per agent state), measured
-//!   under an **aged heap** that reproduces sweep-steady-state
-//!   fragmentation ([`aged_boxed_config`]);
-//! * `boxed-compact` — the same baseline on a pristine heap (boxes
-//!   allocated back to back), its best case.  Both boxed numbers are
-//!   recorded so the report carries the baseline's realistic range rather
-//!   than only its degraded end.
+//! graph, at `n ∈ {256, 4096}`.
 //!
 //! The `hotloop_report` binary writes the results to `BENCH_hotloop.json`
 //! at the repository root so that later changes have a perf trajectory to
-//! compare against; `benches/hotloop.rs` exposes the same grid to
-//! `cargo bench`.  CI runs the binary in `--quick` mode and validates the
+//! compare against.  CI runs the binary in `--quick` mode and validates the
 //! emitted JSON against [`validate_report`] — a schema smoke, deliberately
 //! not a flaky threshold gate.
 
@@ -32,11 +21,17 @@ use population::{
     Simulation,
 };
 
-use crate::baseline_boxed::{BoxedProtocol, BoxedState};
 use crate::{ProtocolKind, Table1Visitor};
 
 /// Schema identifier of `BENCH_hotloop.json`.
-pub const SCHEMA: &str = "hotloop-bench/v1";
+///
+/// `v2` dropped v1's boxed-baseline columns (`steps_per_sec_boxed`,
+/// `steps_per_sec_boxed_compact`, `speedup`, `speedup_compact`) together
+/// with the pre-inline representation they timed.
+pub const SCHEMA: &str = "hotloop-bench/v2";
+
+/// The keys of one case object, in emission order.
+const CASE_KEYS: [&str; 4] = ["protocol", "graph", "n", "steps_per_sec"];
 
 /// The population sizes of the measurement grid.
 pub const SIZES: [usize; 2] = [256, 4096];
@@ -71,23 +66,6 @@ impl HotloopGraph {
     }
 }
 
-/// Which erased-state representation a measurement runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Repr {
-    /// Inline slots (the production path).
-    Inline,
-    /// One heap box per agent (the pre-inline baseline), measured under an
-    /// aged heap that reproduces sweep-steady-state fragmentation
-    /// ([`aged_boxed_config`]).
-    Boxed,
-    /// The boxed baseline on a pristine, compact heap (all boxes allocated
-    /// back to back) — the friendliest layout the pre-inline path could
-    /// ever see.  Recorded alongside [`Repr::Boxed`] so the report carries
-    /// both ends of the baseline's realistic range instead of only the
-    /// degraded one.
-    BoxedCompact,
-}
-
 /// The measured throughput of one case of the grid.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
@@ -97,26 +75,8 @@ pub struct CaseResult {
     pub graph: &'static str,
     /// Population size.
     pub n: usize,
-    /// Erased-path throughput with inline slots, in steps/second.
+    /// Erased-path throughput, in steps/second.
     pub steps_per_sec: f64,
-    /// Erased-path throughput with the boxed baseline under an aged
-    /// (fragmented) heap, in steps/second.
-    pub steps_per_sec_boxed: f64,
-    /// Erased-path throughput with the boxed baseline on a pristine compact
-    /// heap, in steps/second (the baseline's best case).
-    pub steps_per_sec_boxed_compact: f64,
-}
-
-impl CaseResult {
-    /// Inline speedup over the aged-heap boxed baseline.
-    pub fn speedup(&self) -> f64 {
-        self.steps_per_sec / self.steps_per_sec_boxed.max(f64::MIN_POSITIVE)
-    }
-
-    /// Inline speedup over the compact-heap boxed baseline.
-    pub fn speedup_compact(&self) -> f64 {
-        self.steps_per_sec / self.steps_per_sec_boxed_compact.max(f64::MIN_POSITIVE)
-    }
 }
 
 /// A full hot-loop measurement: one [`CaseResult`] per
@@ -137,13 +97,7 @@ pub struct HotloopReport {
 /// The protocol and initial configuration are exactly those of the Table 1
 /// scenarios (uniformly random states from `seed`), so the measured loop is
 /// the one the figure binaries actually run.
-pub fn measure(
-    kind: ProtocolKind,
-    graph: HotloopGraph,
-    n: usize,
-    repr: Repr,
-    budget_secs: f64,
-) -> f64 {
+pub fn measure(kind: ProtocolKind, graph: HotloopGraph, n: usize, budget_secs: f64) -> f64 {
     let seed = 0xB0B0 ^ n as u64;
     kind.with_table1_setup(
         n,
@@ -151,19 +105,17 @@ pub fn measure(
         MeasureVisitor {
             graph,
             n,
-            repr,
             budget_secs,
             seed,
         },
     )
 }
 
-/// [`Table1Visitor`] that erases the typed setup into the requested
-/// representation and times the scheduler loop.
+/// [`Table1Visitor`] that erases the typed setup into inline slots and
+/// times the scheduler loop.
 struct MeasureVisitor {
     graph: HotloopGraph,
     n: usize,
-    repr: Repr,
     budget_secs: f64,
     seed: u64,
 }
@@ -182,72 +134,16 @@ impl Table1Visitor for MeasureVisitor {
             .family()
             .build(self.n)
             .expect("hot-loop sizes are all >= 2");
-        let states = config.into_states();
-        match self.repr {
-            Repr::Inline => {
-                let config: Configuration<DynState> =
-                    states.into_iter().map(DynState::new).collect();
-                time_steps(
-                    Simulation::new(DynProtocol::erase(protocol), any_graph, config, self.seed),
-                    self.budget_secs,
-                )
-            }
-            Repr::Boxed => {
-                let config = aged_boxed_config(states);
-                time_steps(
-                    Simulation::new(BoxedProtocol::erase(protocol), any_graph, config, self.seed),
-                    self.budget_secs,
-                )
-            }
-            Repr::BoxedCompact => {
-                let config: Configuration<BoxedState> =
-                    states.into_iter().map(BoxedState::new).collect();
-                time_steps(
-                    Simulation::new(BoxedProtocol::erase(protocol), any_graph, config, self.seed),
-                    self.budget_secs,
-                )
-            }
-        }
+        let config: Configuration<DynState> = config
+            .into_states()
+            .into_iter()
+            .map(DynState::new)
+            .collect();
+        time_steps(
+            Simulation::new(DynProtocol::erase(protocol), any_graph, config, self.seed),
+            self.budget_secs,
+        )
     }
-}
-
-/// How many short-lived decoy allocations are interleaved per agent box when
-/// building the boxed baseline configuration (see [`aged_boxed_config`]).
-pub const HEAP_AGING_FACTOR: usize = 255;
-
-/// Builds a boxed configuration under an **aged heap**.
-///
-/// A microbenchmark that allocates `n` boxes back to back gets them laid out
-/// contiguously by the allocator — a layout the pre-inline production path
-/// never saw: in a `BatchRunner` sweep, thousands of trials allocate and
-/// free their per-agent boxes interleaved across worker threads, so by
-/// steady state each configuration's boxes are scattered across a heap many
-/// times its own size.  Measuring the boxed baseline on a pristine heap
-/// would therefore *understate* the cost the inline slots were built to
-/// remove (inline storage is immune to fragmentation by construction — the
-/// states live in the configuration's own buffer).
-///
-/// This helper reproduces the steady state deterministically: every real
-/// agent box is interleaved with [`HEAP_AGING_FACTOR`] same-sized decoy
-/// allocations which are freed once the configuration is complete, leaving
-/// the surviving boxes strided across a span of roughly
-/// `(HEAP_AGING_FACTOR + 1) × n` box-sized chunks.
-pub fn aged_boxed_config<S>(states: Vec<S>) -> Configuration<BoxedState>
-where
-    S: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
-{
-    let mut decoys: Vec<BoxedState> = Vec::with_capacity(states.len() * HEAP_AGING_FACTOR);
-    let config: Configuration<BoxedState> = states
-        .into_iter()
-        .map(|s| {
-            for _ in 0..HEAP_AGING_FACTOR {
-                decoys.push(BoxedState::new(s.clone()));
-            }
-            BoxedState::new(s)
-        })
-        .collect();
-    drop(decoys);
-    config
 }
 
 /// Warm-up then time: runs the scheduler loop in chunks until the time
@@ -309,25 +205,20 @@ pub fn grid() -> Vec<(ProtocolKind, HotloopGraph, usize)> {
 }
 
 /// Measures one case of the grid: `quick` takes a single short sample (CI
-/// smoke); full mode reports the median of three samples per
-/// representation to damp scheduler noise.
+/// smoke); full mode reports the median of three samples to damp scheduler
+/// noise.
 pub fn run_case(kind: ProtocolKind, graph: HotloopGraph, n: usize, quick: bool) -> CaseResult {
     let budget = budget_secs(quick);
     let samples = if quick { 1 } else { 3 };
-    let median = |repr: Repr| {
-        let mut rates: Vec<f64> = (0..samples)
-            .map(|_| measure(kind, graph, n, repr, budget))
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        rates[rates.len() / 2]
-    };
+    let mut rates: Vec<f64> = (0..samples)
+        .map(|_| measure(kind, graph, n, budget))
+        .collect();
+    rates.sort_by(f64::total_cmp);
     CaseResult {
         protocol: kind.key(),
         graph: graph.key(),
         n,
-        steps_per_sec: median(Repr::Inline),
-        steps_per_sec_boxed: median(Repr::Boxed),
-        steps_per_sec_boxed_compact: median(Repr::BoxedCompact),
+        steps_per_sec: rates[rates.len() / 2],
     }
 }
 
@@ -356,10 +247,6 @@ pub fn case_to_json(c: &CaseResult) -> JsonValue {
         .with("graph", c.graph)
         .with("n", c.n)
         .with("steps_per_sec", c.steps_per_sec)
-        .with("steps_per_sec_boxed", c.steps_per_sec_boxed)
-        .with("steps_per_sec_boxed_compact", c.steps_per_sec_boxed_compact)
-        .with("speedup", c.speedup())
-        .with("speedup_compact", c.speedup_compact())
 }
 
 /// Assembles the full report JSON from pre-serialized case objects, in
@@ -379,35 +266,39 @@ impl HotloopReport {
     pub fn to_json_value(&self) -> JsonValue {
         report_json_from_cases(self.quick, self.cases.iter().map(case_to_json).collect())
     }
+}
 
-    /// Renders a human-readable markdown table of the grid (`boxed` is the
-    /// aged-heap baseline, `boxed-compact` the pristine-heap one).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| protocol | graph | n | inline steps/s | boxed steps/s | boxed-compact steps/s \
-             | speedup | speedup-compact |\n\
-             |---|---|---:|---:|---:|---:|---:|---:|\n",
-        );
-        for c in &self.cases {
-            out.push_str(&format!(
-                "| {} | {} | {} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.2}x |\n",
-                c.protocol,
-                c.graph,
-                c.n,
-                c.steps_per_sec,
-                c.steps_per_sec_boxed,
-                c.steps_per_sec_boxed_compact,
-                c.speedup(),
-                c.speedup_compact()
-            ));
-        }
-        out
+/// Renders the cases of a report document as a markdown table.  Reads the
+/// JSON rather than [`CaseResult`]s, so in-process and fabric runs (which
+/// only ever hold the JSON) print through this one renderer.
+pub fn markdown_table(json: &JsonValue) -> String {
+    let mut out = String::from("| protocol | graph | n | steps/s |\n|---|---|---:|---:|\n");
+    for case in json
+        .get("cases")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default()
+    {
+        let text = |key| case.get(key).and_then(JsonValue::as_str).unwrap_or("?");
+        let number = |key| {
+            case.get(key)
+                .and_then(JsonValue::as_f64)
+                .unwrap_or(f64::NAN)
+        };
+        out.push_str(&format!(
+            "| {} | {} | {} | {:.0} |\n",
+            text("protocol"),
+            text("graph"),
+            number("n"),
+            number("steps_per_sec"),
+        ));
     }
+    out
 }
 
 /// Validates a parsed `BENCH_hotloop.json` against the expected schema:
 /// schema tag, and one positive-throughput case per protocol × graph × size
-/// of the grid.  Returns a description of the first violation.
+/// of the grid carrying exactly the v2 case keys.  Returns a description of
+/// the first violation.
 pub fn validate_report(json: &JsonValue) -> Result<(), String> {
     if json.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
         return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
@@ -427,37 +318,32 @@ pub fn validate_report(json: &JsonValue) -> Result<(), String> {
     if cases.len() != expected {
         return Err(format!("expected {expected} cases, found {}", cases.len()));
     }
-    for kind in ProtocolKind::ALL {
-        for graph in HotloopGraph::ALL {
-            for n in SIZES {
-                let case = cases
-                    .iter()
-                    .find(|c| {
-                        c.get("protocol").and_then(JsonValue::as_str) == Some(kind.key())
-                            && c.get("graph").and_then(JsonValue::as_str) == Some(graph.key())
-                            && c.get("n").and_then(JsonValue::as_f64) == Some(n as f64)
-                    })
-                    .ok_or_else(|| format!("case {}/{}/{n} missing", kind.key(), graph.key()))?;
-                for field in [
-                    "steps_per_sec",
-                    "steps_per_sec_boxed",
-                    "steps_per_sec_boxed_compact",
-                    "speedup",
-                    "speedup_compact",
-                ] {
-                    if case
-                        .get(field)
-                        .and_then(JsonValue::as_f64)
-                        .is_none_or(|v| v <= 0.0)
-                    {
-                        return Err(format!(
-                            "case {}/{}/{n}: {field} missing or non-positive",
-                            kind.key(),
-                            graph.key()
-                        ));
-                    }
-                }
+    for (kind, graph, n) in grid() {
+        let name = format!("{}/{}/{n}", kind.key(), graph.key());
+        let case = cases
+            .iter()
+            .find(|c| {
+                c.get("protocol").and_then(JsonValue::as_str) == Some(kind.key())
+                    && c.get("graph").and_then(JsonValue::as_str) == Some(graph.key())
+                    && c.get("n").and_then(JsonValue::as_f64) == Some(n as f64)
+            })
+            .ok_or_else(|| format!("case {name} missing"))?;
+        if let JsonValue::Object(entries) = case {
+            if let Some((key, _)) = entries
+                .iter()
+                .find(|(k, _)| !CASE_KEYS.contains(&k.as_str()))
+            {
+                return Err(format!("case {name}: unexpected key {key:?}"));
             }
+        }
+        if case
+            .get("steps_per_sec")
+            .and_then(JsonValue::as_f64)
+            .is_none_or(|v| v <= 0.0)
+        {
+            return Err(format!(
+                "case {name}: steps_per_sec missing or non-positive"
+            ));
         }
     }
     Ok(())
@@ -468,12 +354,28 @@ mod tests {
     use super::*;
 
     /// A tiny end-to-end of one case: measurement produces finite positive
-    /// throughput in both representations.
+    /// throughput.
     #[test]
     fn measurement_produces_positive_throughput() {
-        for repr in [Repr::Inline, Repr::Boxed, Repr::BoxedCompact] {
-            let rate = measure(ProtocolKind::Ppl, HotloopGraph::Ring, 16, repr, 1e-3);
-            assert!(rate.is_finite() && rate > 0.0, "{repr:?}: {rate}");
+        let rate = measure(ProtocolKind::Ppl, HotloopGraph::Ring, 16, 1e-3);
+        assert!(rate.is_finite() && rate > 0.0, "{rate}");
+    }
+
+    /// A hand-built report with the right grid and the given per-case
+    /// throughput, so the tests cost no measurement time.
+    fn synthetic_report(steps_per_sec: f64) -> HotloopReport {
+        HotloopReport {
+            quick: true,
+            budget_secs: 0.05,
+            cases: grid()
+                .into_iter()
+                .map(|(kind, graph, n)| CaseResult {
+                    protocol: kind.key(),
+                    graph: graph.key(),
+                    n,
+                    steps_per_sec,
+                })
+                .collect(),
         }
     }
 
@@ -481,33 +383,12 @@ mod tests {
     /// schema validation (what the CI smoke checks against the real file).
     #[test]
     fn report_schema_round_trips_and_validates() {
-        // Hand-built report with the right grid, so the test costs no
-        // measurement time.
-        let cases = ProtocolKind::ALL
-            .iter()
-            .flat_map(|kind| {
-                HotloopGraph::ALL.iter().flat_map(move |graph| {
-                    SIZES.map(move |n| CaseResult {
-                        protocol: kind.key(),
-                        graph: graph.key(),
-                        n,
-                        steps_per_sec: 2.0e7,
-                        steps_per_sec_boxed: 1.0e7,
-                        steps_per_sec_boxed_compact: 1.6e7,
-                    })
-                })
-            })
-            .collect();
-        let report = HotloopReport {
-            quick: true,
-            budget_secs: 0.05,
-            cases,
-        };
-        let text = report.to_json_value().to_json();
+        let text = synthetic_report(2.0e7).to_json_value().to_json();
         let parsed = analysis::json::JsonValue::parse(&text).expect("emitted JSON parses");
         validate_report(&parsed).expect("schema validates");
-        assert!(report.to_markdown().contains("| ppl | ring | 256 |"));
-        assert!((report.cases[0].speedup() - 2.0).abs() < 1e-12);
+        let table = markdown_table(&parsed);
+        assert!(table.contains("| ppl | ring | 256 | 20000000 |"), "{table}");
+        assert_eq!(table.lines().count(), 2 + grid().len());
     }
 
     #[test]
@@ -519,5 +400,40 @@ mod tests {
             .with("schema", SCHEMA)
             .with("budget_secs", 0.1);
         assert!(validate_report(&no_cases).is_err());
+        let stalled = synthetic_report(0.0).to_json_value();
+        let err = validate_report(&stalled).unwrap_err();
+        assert!(err.contains("steps_per_sec"), "{err}");
+    }
+
+    /// A document shaped like the last `hotloop-bench/v1` file (boxed
+    /// baseline columns on every case) is rejected — under its own tag, and
+    /// also when merely relabelled `v2`.
+    #[test]
+    fn validation_rejects_the_v1_shape() {
+        let v1_cases = grid()
+            .into_iter()
+            .map(|(kind, graph, n)| {
+                JsonValue::object()
+                    .with("protocol", kind.key())
+                    .with("graph", graph.key())
+                    .with("n", n)
+                    .with("steps_per_sec", 1.1e7)
+                    .with("steps_per_sec_boxed", 0.9e7)
+                    .with("steps_per_sec_boxed_compact", 1.0e7)
+                    .with("speedup", 1.2)
+                    .with("speedup_compact", 1.1)
+            })
+            .collect::<Vec<_>>();
+        let shell = |schema: &str| {
+            JsonValue::object()
+                .with("schema", schema)
+                .with("quick", false)
+                .with("budget_secs", 1.0)
+                .with("cases", JsonValue::Array(v1_cases.clone()))
+        };
+        let err = validate_report(&shell("hotloop-bench/v1")).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let err = validate_report(&shell(SCHEMA)).unwrap_err();
+        assert!(err.contains("steps_per_sec_boxed"), "{err}");
     }
 }

@@ -6,8 +6,9 @@
 //! stop-criterion bundles from `population::scenario` — for the paper's
 //! protocol and every Table 1 baseline; each experiment is a binary in
 //! `src/bin/` that sweeps the relevant parameters over those scenarios and
-//! prints the table or figure data, and the Criterion benches in `benches/`
-//! track the raw simulation performance.
+//! prints the table or figure data.  The raw simulation performance is
+//! tracked by the `hotloop_report` binary ([`hotloop`], `BENCH_hotloop.json`)
+//! and by the repository benchmark in `perfbench/`.
 //!
 //! Run an experiment with, e.g.:
 //!
@@ -26,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline_boxed;
 pub mod cli;
 pub mod fabric;
 pub mod hotloop;

@@ -3,50 +3,16 @@
 //! Self-stabilization is defined via *safe configurations* (Definition 2.1):
 //! the convergence time of a run is the number of steps until the first safe
 //! configuration.  Protocol crates provide structural checkers for their safe
-//! sets (e.g. `S_PL` for the paper's protocol); this module provides the
-//! plumbing — the [`Criterion`] trait, the generic [`UniqueLeader`]
-//! criterion and the [`ConvergenceReport`] returned by measurement runs.
+//! sets (e.g. `S_PL` for the paper's protocol), passed to runs as stop
+//! predicates; this module provides the [`ConvergenceReport`] returned by
+//! measurement runs and the helpers for protocols without such a checker.
 
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::Configuration;
-use crate::protocol::{LeaderElection, Protocol};
-
-/// A convergence criterion evaluated against a configuration.
-///
-/// Criteria should be *monotone along executions* for the measured value to
-/// be a genuine convergence time (the paper's safe sets are closed, hence
-/// monotone).  Non-monotone criteria (such as [`UniqueLeader`]) are still
-/// useful as necessary conditions and for protocols without a structural
-/// safe-set checker; see [`StableOutputs`] for the stability-based fallback.
-pub trait Criterion<P: Protocol>: Send + Sync {
-    /// Short name used in traces and reports.
-    fn name(&self) -> &str;
-
-    /// Returns `true` if the configuration satisfies the criterion.
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool;
-}
-
-/// Criterion: exactly one agent outputs `L`.
-///
-/// This is a *necessary* condition for a safe configuration of any SS-LE
-/// protocol but not a sufficient one (the configuration might still create or
-/// kill leaders later).  Use the structural checkers in the protocol crates
-/// when available.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UniqueLeader;
-
-impl<P: LeaderElection> Criterion<P> for UniqueLeader {
-    fn name(&self) -> &str {
-        "unique-leader"
-    }
-
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool {
-        protocol.has_unique_leader(states)
-    }
-}
+use crate::protocol::Protocol;
 
 /// Post-hoc convergence estimation for protocols without a structural safe
 /// set: the convergence step is estimated as the last step at which the
@@ -156,6 +122,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::LeaderElection;
 
     #[derive(Clone, Debug)]
     struct Dummy;
@@ -167,15 +134,6 @@ mod tests {
         fn is_leader(&self, state: &u8) -> bool {
             *state == 1
         }
-    }
-
-    #[test]
-    fn unique_leader_criterion() {
-        let c = UniqueLeader;
-        assert_eq!(Criterion::<Dummy>::name(&c), "unique-leader");
-        assert!(c.is_satisfied(&Dummy, &[0, 1, 0]));
-        assert!(!c.is_satisfied(&Dummy, &[1, 1, 0]));
-        assert!(!c.is_satisfied(&Dummy, &[0, 0, 0]));
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub mod prelude {
         group_by_size, BatchRunner, BatchSummary, Outcome, Trial, TrialOutcome,
     };
     pub use crate::config::Configuration;
-    pub use crate::convergence::{ConvergenceReport, Criterion, StableOutputs};
+    pub use crate::convergence::{ConvergenceReport, StableOutputs};
     pub use crate::error::{PopulationError, Result};
     pub use crate::explore::{
         explore, phase_closure, ArcPhases, ClosureLimits, ClosureOutcome, ExploreLimits,

@@ -553,7 +553,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::{Criterion, UniqueLeader};
     use crate::graph::{CompleteGraph, DirectedRing};
 
     /// Runs `sim` until it has a unique leader (the criterion the
@@ -564,7 +563,7 @@ mod tests {
         max_steps: u64,
     ) -> ConvergenceReport {
         sim.run_until(
-            |p, c| UniqueLeader.is_satisfied(p, c.states()),
+            |p, c| p.has_unique_leader(c.states()),
             check_interval,
             max_steps,
         )
